@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "isa/adpcm.hpp"
 #include "isa/bio_codec.hpp"
@@ -18,6 +21,7 @@
 #include "isa/metrics.hpp"
 #include "isa/mjpeg.hpp"
 #include "sim/rng.hpp"
+#include "workload/audio.hpp"
 
 namespace iob::isa {
 namespace {
@@ -485,6 +489,180 @@ TEST(Features, SpectrogramMatchesKwsInput) {
   EXPECT_EQ(spec.shape(), (nn::Shape{49, 10, 1}));
   EXPECT_THROW(mfcc_spectrogram(std::vector<float>(10, 0.0f), cfg, frames),
                std::invalid_argument);
+}
+
+// ---- Bit-identity oracle ------------------------------------------------------------------
+//
+// The per-frame loops the MFCC front-end started from: a Hann window
+// computed per sample, a dense triangular filterbank over every bin, the
+// full DCT-II of which n_mfcc rows are kept, and an FFT whose twiddles
+// come from the `w *= wlen` recurrence inside each block. The library must
+// reproduce these bit for bit on finite input.
+
+void reference_fft(std::vector<Complex>& x, bool inverse) {
+  const std::size_t n = x.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+    const Complex wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Complex u = x[i + k];
+        const Complex v = x[i + k + len / 2] * w;
+        x[i + k] = u + v;
+        x[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    for (auto& v : x) v /= static_cast<double>(n);
+  }
+}
+
+std::vector<float> reference_log_mel(const std::vector<float>& frame, const MelConfig& cfg) {
+  std::vector<Complex> c(next_pow2(frame.size()), Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const double w =
+        0.5 - 0.5 * std::cos(2.0 * M_PI * static_cast<double>(i) /
+                             static_cast<double>(frame.size() - 1));
+    c[i] = Complex(static_cast<float>(frame[i] * w), 0.0);
+  }
+  reference_fft(c, false);
+  std::vector<double> mag(c.size() / 2 + 1);
+  for (std::size_t i = 0; i < mag.size(); ++i) mag[i] = std::abs(c[i]);
+  const double bin_hz = cfg.sample_rate_hz / static_cast<double>((mag.size() - 1) * 2);
+
+  const double mel_lo = hz_to_mel(cfg.fmin_hz), mel_hi = hz_to_mel(cfg.fmax_hz);
+  std::vector<double> edges(cfg.n_mels + 2);
+  for (std::size_t m = 0; m < edges.size(); ++m) {
+    edges[m] = mel_to_hz(mel_lo + (mel_hi - mel_lo) * static_cast<double>(m) /
+                                      static_cast<double>(cfg.n_mels + 1));
+  }
+  std::vector<float> energies(cfg.n_mels, 0.0f);
+  for (std::size_t m = 0; m < cfg.n_mels; ++m) {
+    const double left = edges[m], center = edges[m + 1], right = edges[m + 2];
+    double acc = 0.0;
+    for (std::size_t b = 0; b < mag.size(); ++b) {
+      const double f = static_cast<double>(b) * bin_hz;
+      double weight = 0.0;
+      if (f > left && f < center) {
+        weight = (f - left) / (center - left);
+      } else if (f >= center && f < right) {
+        weight = (right - f) / (right - center);
+      }
+      acc += weight * mag[b] * mag[b];
+    }
+    energies[m] = static_cast<float>(std::log(acc + 1e-10));
+  }
+  return energies;
+}
+
+std::vector<float> reference_mfcc_frame(const std::vector<float>& frame, const MelConfig& cfg) {
+  const std::vector<float> coeffs = dct2(reference_log_mel(frame, cfg));
+  return std::vector<float>(coeffs.begin(), coeffs.begin() + static_cast<long>(cfg.n_mfcc));
+}
+
+/// [n_frames * n_mfcc] row-major, the layout of `mfcc_spectrogram`'s tensor.
+std::vector<float> reference_mfcc_spectrogram(const std::vector<float>& signal,
+                                              const MelConfig& cfg, std::size_t n_frames) {
+  std::vector<float> out;
+  for (std::size_t t = 0; t < n_frames; ++t) {
+    const auto first = signal.begin() + static_cast<long>(t * cfg.hop);
+    const auto coeffs = reference_mfcc_frame(
+        std::vector<float>(first, first + static_cast<long>(cfg.frame_len)), cfg);
+    out.insert(out.end(), coeffs.begin(), coeffs.end());
+  }
+  return out;
+}
+
+template <typename T>
+bool same_bits(const T* a, const T* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+constexpr std::size_t kOracleFrames = 49;
+
+/// Sine, silence, seeded noise, a clipped full-scale square wave and an
+/// ADPCM-decoded synthetic audio window, each long enough for 49 frames.
+std::vector<std::pair<std::string, std::vector<float>>> oracle_signals(const MelConfig& cfg) {
+  const std::size_t len = cfg.frame_len + (kOracleFrames - 1) * cfg.hop;
+  std::vector<std::pair<std::string, std::vector<float>>> out;
+  std::vector<float> x(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    x[i] = static_cast<float>(0.6 * std::sin(2.0 * M_PI * 440.0 * static_cast<double>(i) /
+                                             cfg.sample_rate_hz));
+  }
+  out.emplace_back("sine", x);
+  out.emplace_back("silence", std::vector<float>(len, 0.0f));
+  sim::Rng rng(31);
+  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  out.emplace_back("noise", x);
+  for (std::size_t i = 0; i < len; ++i) {
+    const double s = 4.0 * std::sin(2.0 * M_PI * 250.0 * static_cast<double>(i) /
+                                    cfg.sample_rate_hz);
+    x[i] = static_cast<float>(std::clamp(s, -1.0, 1.0));
+  }
+  out.emplace_back("square", x);
+  sim::Rng audio_rng(32);
+  const auto pcm = AdpcmCodec::decode(
+      AdpcmCodec::encode(workload::AudioGenerator().generate_pcm(1.0, audio_rng)));
+  std::vector<float> audio(pcm.size());
+  for (std::size_t i = 0; i < pcm.size(); ++i) audio[i] = static_cast<float>(pcm[i]) / 32768.0f;
+  out.emplace_back("adpcm_audio", audio);
+  return out;
+}
+
+TEST(FeaturesOracle, SpectrogramBitIdenticalToSeedLoops) {
+  const MelConfig cfg;
+  for (const auto& [name, signal] : oracle_signals(cfg)) {
+    const nn::Tensor spec = mfcc_spectrogram(signal, cfg, kOracleFrames);
+    const std::vector<float> want = reference_mfcc_spectrogram(signal, cfg, kOracleFrames);
+    ASSERT_EQ(spec.size(), want.size()) << name;
+    EXPECT_TRUE(same_bits(spec.data(), want.data(), want.size())) << name;
+  }
+}
+
+TEST(FeaturesOracle, FrameFunctionsBitIdenticalToSeedLoops) {
+  const MelConfig cfg;
+  for (const auto& [name, signal] : oracle_signals(cfg)) {
+    for (std::size_t t = 0; t < kOracleFrames; ++t) {
+      const auto first = signal.begin() + static_cast<long>(t * cfg.hop);
+      const std::vector<float> frame(first, first + static_cast<long>(cfg.frame_len));
+      const auto mel = log_mel_energies(frame, cfg);
+      const auto want_mel = reference_log_mel(frame, cfg);
+      ASSERT_EQ(mel.size(), want_mel.size());
+      EXPECT_TRUE(same_bits(mel.data(), want_mel.data(), mel.size())) << name << " t=" << t;
+      const auto mfcc = mfcc_frame(frame, cfg);
+      const auto want_mfcc = reference_mfcc_frame(frame, cfg);
+      ASSERT_EQ(mfcc.size(), want_mfcc.size());
+      EXPECT_TRUE(same_bits(mfcc.data(), want_mfcc.data(), mfcc.size())) << name << " t=" << t;
+    }
+  }
+}
+
+TEST(FeaturesOracle, FftBitIdenticalToRecurrenceAtEverySize) {
+  sim::Rng rng(33);
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    std::vector<Complex> x(n);
+    for (auto& v : x) v = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    for (const bool inverse : {false, true}) {
+      std::vector<Complex> got = x, want = x;
+      if (inverse) {
+        ifft(got);
+      } else {
+        fft(got);
+      }
+      reference_fft(want, inverse);
+      EXPECT_TRUE(same_bits(got.data(), want.data(), n)) << "n=" << n << " inverse=" << inverse;
+    }
+  }
 }
 
 // ---- Metrics ------------------------------------------------------------------------------
