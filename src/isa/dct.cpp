@@ -1,5 +1,6 @@
 #include "isa/dct.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace iob::isa {
@@ -97,23 +98,6 @@ const std::array<int, kBlock * kBlock>& zigzag_order() {
     return t;
   }();
   return table;
-}
-
-std::vector<float> dct2(const std::vector<float>& x) {
-  const std::size_t n = x.size();
-  std::vector<float> out(n, 0.0f);
-  if (n == 0) return out;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double s = k == 0 ? std::sqrt(1.0 / static_cast<double>(n))
-                            : std::sqrt(2.0 / static_cast<double>(n));
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += x[i] * std::cos(M_PI * (2.0 * static_cast<double>(i) + 1.0) * static_cast<double>(k) /
-                             (2.0 * static_cast<double>(n)));
-    }
-    out[k] = static_cast<float>(s * acc);
-  }
-  return out;
 }
 
 }  // namespace iob::isa

@@ -1,12 +1,10 @@
 #pragma once
 /// \file dct.hpp
 /// Discrete Cosine Transforms: the separable 8x8 block DCT-II/III used by
-/// the MJPEG-style ISA codec, a generic 1-D DCT-II for MFCC features, and
-/// the JPEG zig-zag scan order.
+/// the MJPEG-style ISA codec, and the JPEG zig-zag scan order.
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 namespace iob::isa {
 
@@ -22,9 +20,5 @@ Block idct8x8(const Block& coeffs);
 /// JPEG zig-zag scan order: zigzag_order()[k] is the row-major index of the
 /// k-th coefficient in scan order.
 const std::array<int, kBlock * kBlock>& zigzag_order();
-
-/// Generic orthonormal 1-D DCT-II of arbitrary length (O(n^2); used for
-/// MFCC coefficient extraction, n ~ 40).
-std::vector<float> dct2(const std::vector<float>& x);
 
 }  // namespace iob::isa

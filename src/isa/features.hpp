@@ -21,10 +21,12 @@ struct WindowFeatures {
 
 WindowFeatures time_features(const std::vector<float>& window);
 
-/// Mel filterbank configuration for MFCC extraction.
+/// Mel filterbank configuration for MFCC extraction. The extractors below
+/// throw std::invalid_argument unless hop >= 1, 1 <= n_mfcc <= n_mels,
+/// n_mels >= 2 and 0 <= fmin_hz < fmax_hz <= sample_rate_hz / 2.
 struct MelConfig {
   double sample_rate_hz = 16000.0;
-  std::size_t frame_len = 512;      ///< samples per analysis frame (pow2)
+  std::size_t frame_len = 512;      ///< samples per frame, >= 2; the FFT zero-pads to pow2
   std::size_t hop = 320;            ///< 20 ms at 16 kHz
   std::size_t n_mels = 40;
   std::size_t n_mfcc = 10;

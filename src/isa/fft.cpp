@@ -12,46 +12,46 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-namespace {
-
-bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
-void fft_core(std::vector<Complex>& x, bool inverse) {
-  const std::size_t n = x.size();
-  IOB_EXPECTS(is_pow2(n), "FFT size must be a power of two");
-
-  // Bit-reversal permutation.
+FftPlan::FftPlan(std::size_t n, bool inverse) : n_(n), inverse_(inverse) {
+  IOB_EXPECTS(n != 0 && (n & (n - 1)) == 0, "FFT size must be a power of two");
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(x[i], x[j]);
+    if (i < j) swaps_.emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
   }
-
+  twiddles_.reserve(n > 1 ? n - 1 : 0);
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
     const Complex wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = x[i + k];
-        const Complex v = x[i + k + len / 2] * w;
-        x[i + k] = u + v;
-        x[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
+    Complex w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      twiddles_.push_back(w);
+      w *= wlen;
     }
-  }
-
-  if (inverse) {
-    for (auto& v : x) v /= static_cast<double>(n);
   }
 }
 
-}  // namespace
+void FftPlan::execute(Complex* x) const {
+  for (const auto& [i, j] : swaps_) std::swap(x[i], x[j]);
+  const Complex* w = twiddles_.data();
+  for (std::size_t half = 1; half < n_; w += half, half <<= 1) {
+    for (std::size_t i = 0; i < n_; i += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const Complex u = x[i + k];
+        const Complex v = x[i + k + half] * w[k];
+        x[i + k] = u + v;
+        x[i + k + half] = u - v;
+      }
+    }
+  }
+  if (inverse_) {
+    for (std::size_t i = 0; i < n_; ++i) x[i] /= static_cast<double>(n_);
+  }
+}
 
-void fft(std::vector<Complex>& x) { fft_core(x, false); }
-void ifft(std::vector<Complex>& x) { fft_core(x, true); }
+void fft(std::vector<Complex>& x) { FftPlan(x.size(), false).execute(x.data()); }
+void ifft(std::vector<Complex>& x) { FftPlan(x.size(), true).execute(x.data()); }
 
 std::vector<Complex> rfft(const std::vector<float>& x) {
   IOB_EXPECTS(!x.empty(), "signal must be non-empty");

@@ -79,6 +79,10 @@ QuantizedTensor deserialize_activation(const std::vector<std::uint8_t>& wire, Sh
   QuantizedTensor q;
   std::memcpy(&q.params.scale, wire.data(), sizeof(float));
   std::memcpy(&q.params.zero_point, wire.data() + sizeof(float), sizeof(std::int32_t));
+  IOB_EXPECTS(std::isfinite(q.params.scale) && q.params.scale > 0.0f,
+              "activation scale must be finite and positive");
+  IOB_EXPECTS(q.params.zero_point >= -128 && q.params.zero_point <= 127,
+              "activation zero point must lie in [-128, 127]");
   q.shape = std::move(shape);
   q.data.resize(static_cast<std::size_t>(elems));
   std::memcpy(q.data.data(), wire.data() + kActivationHeaderBytes,

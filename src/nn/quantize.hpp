@@ -65,6 +65,9 @@ inline constexpr std::int64_t kActivationHeaderBytes = 8;
 
 /// Parse the int8 wire format back into a quantized tensor; `shape` is
 /// carried out-of-band (both venues know the model's boundary shapes).
+/// Throws std::invalid_argument when the wire length does not match `shape`,
+/// the scale is not finite and positive, or the zero point is outside
+/// [-128, 127].
 [[nodiscard]] QuantizedTensor deserialize_activation(const std::vector<std::uint8_t>& wire,
                                                      Shape shape);
 

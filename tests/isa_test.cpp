@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "isa/adpcm.hpp"
 #include "isa/bio_codec.hpp"
 #include "isa/bitstream.hpp"
@@ -183,17 +186,6 @@ TEST(Dct, ZigzagIsAPermutation) {
   EXPECT_EQ(zz[1], 1);   // then right
   EXPECT_EQ(zz[2], 8);   // then down-left
   EXPECT_EQ(zz[63], 63); // ends at the highest frequency
-}
-
-TEST(Dct, Generic1dMatchesDefinition) {
-  const std::vector<float> x = {1.0f, 2.0f, 3.0f, 4.0f};
-  const auto c = dct2(x);
-  // DC term: sqrt(1/4) * sum = 0.5 * 10.
-  EXPECT_NEAR(c[0], 5.0f, 1e-5);
-  // Energy preserved.
-  const double ex = 1 + 4 + 9 + 16;
-  const double ec = std::inner_product(c.begin(), c.end(), c.begin(), 0.0);
-  EXPECT_NEAR(ex, ec, 1e-4);
 }
 
 // ---- MJPEG codec ------------------------------------------------------------------
@@ -478,6 +470,24 @@ TEST(Features, MfccShapes) {
   EXPECT_EQ(mfcc_frame(frame, cfg).size(), cfg.n_mfcc);
 }
 
+TEST(Features, MfccIsOrthonormalDctOfLogMel) {
+  MelConfig cfg;
+  cfg.n_mfcc = cfg.n_mels;  // keep every DCT row
+  std::vector<float> frame(cfg.frame_len);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<float>(std::sin(0.3 * static_cast<double>(i)) + 0.2);
+  }
+  const auto mel = log_mel_energies(frame, cfg);
+  const auto c = mfcc_frame(frame, cfg);
+  // DC term: sqrt(1/n) * sum of the log-mel energies.
+  const double sum = std::accumulate(mel.begin(), mel.end(), 0.0);
+  EXPECT_NEAR(c[0], std::sqrt(1.0 / static_cast<double>(cfg.n_mels)) * sum, 1e-3);
+  // Energy preserved.
+  const double em = std::inner_product(mel.begin(), mel.end(), mel.begin(), 0.0);
+  const double ec = std::inner_product(c.begin(), c.end(), c.begin(), 0.0);
+  EXPECT_NEAR(em, ec, 1e-4 * em);
+}
+
 TEST(Features, SpectrogramMatchesKwsInput) {
   MelConfig cfg;
   const std::size_t frames = 49;
@@ -564,8 +574,25 @@ std::vector<float> reference_log_mel(const std::vector<float>& frame, const MelC
   return energies;
 }
 
+/// Orthonormal DCT-II, all n coefficients, O(n^2).
+std::vector<float> reference_dct2(const std::vector<float>& x) {
+  const std::size_t n = x.size();
+  std::vector<float> out(n, 0.0f);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double s = k == 0 ? std::sqrt(1.0 / static_cast<double>(n))
+                            : std::sqrt(2.0 / static_cast<double>(n));
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc += x[i] * std::cos(M_PI * (2.0 * static_cast<double>(i) + 1.0) * static_cast<double>(k) /
+                             (2.0 * static_cast<double>(n)));
+    }
+    out[k] = static_cast<float>(s * acc);
+  }
+  return out;
+}
+
 std::vector<float> reference_mfcc_frame(const std::vector<float>& frame, const MelConfig& cfg) {
-  const std::vector<float> coeffs = dct2(reference_log_mel(frame, cfg));
+  const std::vector<float> coeffs = reference_dct2(reference_log_mel(frame, cfg));
   return std::vector<float>(coeffs.begin(), coeffs.begin() + static_cast<long>(cfg.n_mfcc));
 }
 
@@ -662,6 +689,66 @@ TEST(FeaturesOracle, FftBitIdenticalToRecurrenceAtEverySize) {
       reference_fft(want, inverse);
       EXPECT_TRUE(same_bits(got.data(), want.data(), n)) << "n=" << n << " inverse=" << inverse;
     }
+  }
+}
+
+TEST(Features, RejectsInvalidMelConfig) {
+  const std::vector<float> signal(16000, 0.1f);
+  const auto bad = [](auto edit) {
+    MelConfig cfg;
+    edit(cfg);
+    return cfg;
+  };
+  // frame_len 1 would divide by frame_len - 1 = 0 in the Hann window.
+  EXPECT_THROW(mfcc_spectrogram(signal, bad([](MelConfig& c) { c.frame_len = 1; }), 1),
+               std::invalid_argument);
+  EXPECT_THROW(mfcc_spectrogram(signal, bad([](MelConfig& c) { c.hop = 0; }), 1),
+               std::invalid_argument);
+  EXPECT_THROW(mfcc_spectrogram(signal, bad([](MelConfig& c) { c.n_mfcc = 0; }), 1),
+               std::invalid_argument);
+  EXPECT_THROW(mfcc_spectrogram(signal, bad([](MelConfig& c) { c.n_mfcc = c.n_mels + 1; }), 1),
+               std::invalid_argument);
+  // Bands above Nyquist would be empty and read log(1e-10).
+  EXPECT_THROW(mfcc_spectrogram(signal, bad([](MelConfig& c) { c.fmax_hz = 8000.5; }), 1),
+               std::invalid_argument);
+  EXPECT_THROW(mfcc_spectrogram(signal, bad([](MelConfig& c) { c.fmin_hz = -1.0; }), 1),
+               std::invalid_argument);
+  // The frame functions validate the same config.
+  const std::vector<float> frame(MelConfig{}.frame_len, 0.1f);
+  EXPECT_THROW(log_mel_energies(frame, bad([](MelConfig& c) { c.fmin_hz = -1.0; })),
+               std::invalid_argument);
+  EXPECT_THROW(mfcc_frame(frame, bad([](MelConfig& c) { c.n_mfcc = 0; })),
+               std::invalid_argument);
+  // The defaults and the Nyquist limit itself stay valid.
+  EXPECT_NO_THROW(mfcc_spectrogram(signal, bad([](MelConfig& c) { c.fmax_hz = 8000.0; }), 49));
+}
+
+TEST(Features, SpectrogramAllocationsDoNotGrowWithFrameCount) {
+  const MelConfig cfg;
+  const std::vector<float> signal(cfg.frame_len + (kOracleFrames - 1) * cfg.hop, 0.25f);
+  const auto new_calls = [&](std::size_t frames) {
+    const std::uint64_t before = alloc_interposer::new_calls.load();
+    const nn::Tensor spec = mfcc_spectrogram(signal, cfg, frames);
+    return alloc_interposer::new_calls.load() - before;
+  };
+  EXPECT_EQ(new_calls(1), new_calls(kOracleFrames));
+}
+
+TEST(Features, ConcurrentSpectrogramsMatchTheSerialOne) {
+  // Wearer loops call the front-end from several threads at once; every
+  // call owns its plan, so concurrent results equal the serial one.
+  const MelConfig cfg;
+  const std::vector<float> signal = oracle_signals(cfg).back().second;
+  const nn::Tensor serial = mfcc_spectrogram(signal, cfg, kOracleFrames);
+  std::vector<nn::Tensor> results(4);
+  std::vector<std::thread> threads;
+  for (nn::Tensor& r : results) {
+    threads.emplace_back([&] { r = mfcc_spectrogram(signal, cfg, kOracleFrames); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const nn::Tensor& r : results) {
+    ASSERT_EQ(r.size(), serial.size());
+    EXPECT_TRUE(same_bits(r.data(), serial.data(), static_cast<std::size_t>(serial.size())));
   }
 }
 

@@ -279,6 +279,39 @@ TEST(SplitDifferential, BoundaryBytesMatchSerializedWire_Int8HeaderWasUnpriced) 
   }
 }
 
+TEST(SplitDifferential, DeserializeRejectsMalformedHeaders) {
+  const nn::Shape shape{4};
+  nn::QuantizedTensor q;
+  q.shape = shape;
+  q.data = {-3, 0, 5, 127};
+  q.params = {0.05f, -7};
+  const auto wire_with = [&](float scale, std::int32_t zero_point) {
+    nn::QuantizedTensor h = q;
+    h.params = {scale, zero_point};
+    return nn::serialize_activation(h);
+  };
+  EXPECT_NO_THROW((void)nn::deserialize_activation(wire_with(0.05f, -128), shape));
+  EXPECT_NO_THROW((void)nn::deserialize_activation(wire_with(0.05f, 127), shape));
+  for (const float scale : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 0.0f, -0.0f, -0.05f}) {
+    EXPECT_THROW((void)nn::deserialize_activation(wire_with(scale, 0), shape),
+                 std::invalid_argument)
+        << "scale " << scale;
+  }
+  for (const std::int32_t zero_point : {128, -129}) {
+    EXPECT_THROW((void)nn::deserialize_activation(wire_with(0.05f, zero_point), shape),
+                 std::invalid_argument)
+        << "zero point " << zero_point;
+  }
+  // A well-formed header round-trips; a short wire is still rejected.
+  const nn::QuantizedTensor back = nn::deserialize_activation(wire_with(0.05f, -7), shape);
+  EXPECT_EQ(back.data, q.data);
+  std::vector<std::uint8_t> short_wire = wire_with(0.05f, -7);
+  short_wire.pop_back();
+  EXPECT_THROW((void)nn::deserialize_activation(short_wire, shape), std::invalid_argument);
+}
+
 TEST(SplitDifferential, WireBytesFormula) {
   // int8: header + 1 B/elem; f32: raw 4 B/elem, header-free.
   EXPECT_EQ(nn::activation_wire_bytes(16, nn::Precision::kInt8),
