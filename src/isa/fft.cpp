@@ -20,7 +20,7 @@ FftPlan::FftPlan(std::size_t n, bool inverse) : n_(n), inverse_(inverse) {
     j ^= bit;
     if (i < j) swaps_.emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
   }
-  twiddles_.reserve(n > 1 ? n - 1 : 0);
+  twiddles_.reserve(n - 1);
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
     const Complex wlen(std::cos(angle), std::sin(angle));

@@ -503,11 +503,11 @@ TEST(Features, SpectrogramMatchesKwsInput) {
 
 // ---- Bit-identity oracle ------------------------------------------------------------------
 //
-// The per-frame loops the MFCC front-end started from: a Hann window
-// computed per sample, a dense triangular filterbank over every bin, the
-// full DCT-II of which n_mfcc rows are kept, and an FFT whose twiddles
-// come from the `w *= wlen` recurrence inside each block. The library must
-// reproduce these bit for bit on finite input.
+// The MFCC front-end's dense per-frame definition: a Hann window computed
+// per sample, a triangular filterbank over every bin, the full DCT-II of
+// which n_mfcc rows are kept, and an FFT whose twiddles come from the
+// `w *= wlen` recurrence inside each block. The library's planned path
+// must reproduce it bit for bit on finite input.
 
 void reference_fft(std::vector<Complex>& x, bool inverse) {
   const std::size_t n = x.size();
@@ -651,7 +651,7 @@ TEST(FeaturesOracle, SpectrogramBitIdenticalToSeedLoops) {
   for (const auto& [name, signal] : oracle_signals(cfg)) {
     const nn::Tensor spec = mfcc_spectrogram(signal, cfg, kOracleFrames);
     const std::vector<float> want = reference_mfcc_spectrogram(signal, cfg, kOracleFrames);
-    ASSERT_EQ(spec.size(), want.size()) << name;
+    ASSERT_EQ(static_cast<std::size_t>(spec.size()), want.size()) << name;
     EXPECT_TRUE(same_bits(spec.data(), want.data(), want.size())) << name;
   }
 }
