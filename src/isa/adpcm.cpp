@@ -99,6 +99,11 @@ AdpcmEncoded AdpcmCodec::encode(const std::vector<std::int16_t>& pcm) {
 }
 
 std::vector<std::int16_t> AdpcmCodec::decode(const AdpcmEncoded& encoded) {
+  IOB_EXPECTS(encoded.step_index < kStepTable.size(), "adpcm step index out of range");
+  // The header sample plus two per nibble byte: checked before the reserve,
+  // so a forged sample_count cannot size the buffer.
+  IOB_EXPECTS(2 * encoded.nibbles.size() + 1 >= encoded.sample_count,
+              "adpcm nibbles too short for sample count");
   std::vector<std::int16_t> pcm;
   pcm.reserve(encoded.sample_count);
   if (encoded.sample_count == 0) return pcm;

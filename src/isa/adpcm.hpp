@@ -23,6 +23,8 @@ struct AdpcmEncoded {
 class AdpcmCodec {
  public:
   [[nodiscard]] static AdpcmEncoded encode(const std::vector<std::int16_t>& pcm);
+  /// Throws std::invalid_argument on a step index past the table (> 88) or
+  /// on fewer nibbles than `sample_count` needs.
   [[nodiscard]] static std::vector<std::int16_t> decode(const AdpcmEncoded& encoded);
 
   /// Reconstruction SNR (dB) over a signal (encode -> decode -> compare).

@@ -53,19 +53,4 @@ void FftPlan::execute(Complex* x) const {
 void fft(std::vector<Complex>& x) { FftPlan(x.size(), false).execute(x.data()); }
 void ifft(std::vector<Complex>& x) { FftPlan(x.size(), true).execute(x.data()); }
 
-std::vector<Complex> rfft(const std::vector<float>& x) {
-  IOB_EXPECTS(!x.empty(), "signal must be non-empty");
-  std::vector<Complex> c(next_pow2(x.size()), Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < x.size(); ++i) c[i] = Complex(x[i], 0.0);
-  fft(c);
-  return c;
-}
-
-std::vector<double> magnitude_spectrum(const std::vector<float>& x) {
-  const auto c = rfft(x);
-  std::vector<double> mag(c.size() / 2 + 1);
-  for (std::size_t i = 0; i < mag.size(); ++i) mag[i] = std::abs(c[i]);
-  return mag;
-}
-
 }  // namespace iob::isa

@@ -37,13 +37,6 @@ void fft(std::vector<Complex>& x);
 /// In-place inverse FFT (includes 1/N normalization).
 void ifft(std::vector<Complex>& x);
 
-/// FFT of a real signal zero-padded to the next power of two; returns the
-/// full complex spectrum.
-std::vector<Complex> rfft(const std::vector<float>& x);
-
-/// One-sided magnitude spectrum (bins 0..N/2) of a real signal.
-std::vector<double> magnitude_spectrum(const std::vector<float>& x);
-
 /// Smallest power of two >= n.
 std::size_t next_pow2(std::size_t n);
 

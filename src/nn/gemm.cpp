@@ -265,355 +265,6 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
   }
 }
 
-namespace {
-
-/// Global packed-A toggle (default on). Read once per conv lowering, never
-/// in the microkernels.
-std::atomic<bool> g_pack_a_enabled{true};
-
-/// Strided row writes into a kMr-lane panel: element j of a patch row lands
-/// at dst[j * kMr]. Used only on panels that touch padding or the M
-/// remainder — interior panels go through the 4x4-transpose fast path.
-inline void scatter_floats(float* dst, const float* src, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i * kMr] = src[i];
-}
-
-inline void scatter_zero_floats(float* dst, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i * kMr] = 0.0f;
-}
-
-#if IOB_GEMM_SSE2
-/// Pack four full patch rows at once: load 4 floats from each row, 4x4
-/// transpose in registers, and store four contiguous 16-byte lanes. This
-/// keeps the pack at memcpy-class throughput instead of the 16-byte-stride
-/// scalar scatter, which is what makes fused im2col+pack a net win.
-inline void pack_rows4_transposed(float* dst, const float* s0, const float* s1, const float* s2,
-                                  const float* s3, std::int64_t n) {
-  std::int64_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    __m128 r0 = _mm_loadu_ps(s0 + t);
-    __m128 r1 = _mm_loadu_ps(s1 + t);
-    __m128 r2 = _mm_loadu_ps(s2 + t);
-    __m128 r3 = _mm_loadu_ps(s3 + t);
-    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-    float* d = dst + t * kMr;
-    _mm_storeu_ps(d, r0);
-    _mm_storeu_ps(d + 4, r1);
-    _mm_storeu_ps(d + 8, r2);
-    _mm_storeu_ps(d + 12, r3);
-  }
-  for (; t < n; ++t) {
-    float* d = dst + t * kMr;
-    d[0] = s0[t];
-    d[1] = s1[t];
-    d[2] = s2[t];
-    d[3] = s3[t];
-  }
-}
-
-/// Per-row staging budget (floats) for the transpose fast path: a padded
-/// tap run longer than this falls back to the scalar scatter. 256 floats
-/// covers kw*ic for every model-zoo conv with a 4 KiB stack footprint.
-constexpr std::int64_t kPackStageRun = 256;
-#endif
-
-/// Packed-A counterpart of `micro_tile`: identical per-lane mul/add
-/// sequence (still no FMA), but the four A broadcasts per k step come from
-/// one contiguous panel load instead of four stride-K row reads.
-#if IOB_GEMM_SSE2
-void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_t N, float* c,
-                   const float* bias, bool first, const TailCtx* tail) {
-  static_assert(kMr == 4 && kNr == 8, "micro_tile_pa is written for a 4x8 register tile");
-  __m128 acc[kMr][2];
-  if (first) {
-    const __m128 b0 = bias != nullptr ? _mm_loadu_ps(bias) : _mm_setzero_ps();
-    const __m128 b1 = bias != nullptr ? _mm_loadu_ps(bias + 4) : _mm_setzero_ps();
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = b0;
-      acc[i][1] = b1;
-    }
-  } else {
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = _mm_loadu_ps(c + i * N);
-      acc[i][1] = _mm_loadu_ps(c + i * N + 4);
-    }
-  }
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const float* brow = b + k * N;
-    const __m128 b0 = _mm_loadu_ps(brow);
-    const __m128 b1 = _mm_loadu_ps(brow + 4);
-    const __m128 av = _mm_loadu_ps(ap + k * kMr);
-    const __m128 a0 = _mm_shuffle_ps(av, av, 0x00);
-    const __m128 a1 = _mm_shuffle_ps(av, av, 0x55);
-    const __m128 a2 = _mm_shuffle_ps(av, av, 0xAA);
-    const __m128 a3 = _mm_shuffle_ps(av, av, 0xFF);
-    acc[0][0] = _mm_add_ps(acc[0][0], _mm_mul_ps(a0, b0));
-    acc[0][1] = _mm_add_ps(acc[0][1], _mm_mul_ps(a0, b1));
-    acc[1][0] = _mm_add_ps(acc[1][0], _mm_mul_ps(a1, b0));
-    acc[1][1] = _mm_add_ps(acc[1][1], _mm_mul_ps(a1, b1));
-    acc[2][0] = _mm_add_ps(acc[2][0], _mm_mul_ps(a2, b0));
-    acc[2][1] = _mm_add_ps(acc[2][1], _mm_mul_ps(a2, b1));
-    acc[3][0] = _mm_add_ps(acc[3][0], _mm_mul_ps(a3, b0));
-    acc[3][1] = _mm_add_ps(acc[3][1], _mm_mul_ps(a3, b1));
-  }
-  if (tail != nullptr) {
-    if (tail->kind == GemmTail::Kind::kRelu) {
-      const __m128 zero = _mm_setzero_ps();
-      const __m128 cap = _mm_set1_ps(tail->cap);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_max_ps(zero, acc[i][0]);
-        acc[i][1] = _mm_max_ps(zero, acc[i][1]);
-        if (tail->cap > 0.0f) {
-          acc[i][0] = _mm_min_ps(cap, acc[i][0]);
-          acc[i][1] = _mm_min_ps(cap, acc[i][1]);
-        }
-      }
-    } else {
-      const __m128 s0 = _mm_loadu_ps(tail->scale);
-      const __m128 s1 = _mm_loadu_ps(tail->scale + 4);
-      const __m128 h0 = _mm_loadu_ps(tail->shift);
-      const __m128 h1 = _mm_loadu_ps(tail->shift + 4);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_add_ps(_mm_mul_ps(s0, acc[i][0]), h0);
-        acc[i][1] = _mm_add_ps(_mm_mul_ps(s1, acc[i][1]), h1);
-      }
-    }
-  }
-  for (int i = 0; i < kMr; ++i) {
-    _mm_storeu_ps(c + i * N, acc[i][0]);
-    _mm_storeu_ps(c + i * N + 4, acc[i][1]);
-  }
-}
-#else
-void micro_tile_pa(std::int64_t kc, const float* ap, const float* b, std::int64_t N, float* c,
-                   const float* bias, bool first, const TailCtx* tail) {
-  float acc[kMr][kNr];
-  for (int i = 0; i < kMr; ++i) {
-    for (int j = 0; j < kNr; ++j) {
-      acc[i][j] = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
-    }
-  }
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const float* brow = b + k * N;
-    for (int i = 0; i < kMr; ++i) {
-      const float ai = ap[k * kMr + i];
-      for (int j = 0; j < kNr; ++j) acc[i][j] += ai * brow[j];
-    }
-  }
-  if (tail != nullptr) {
-    for (int i = 0; i < kMr; ++i) {
-      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j], j);
-    }
-  }
-  for (int i = 0; i < kMr; ++i) {
-    for (int j = 0; j < kNr; ++j) c[i * N + j] = acc[i][j];
-  }
-}
-#endif
-
-/// Scalar edge path over a packed panel (row i element k at ap[k*kMr + i]);
-/// same accumulation order as `edge_tile`.
-void edge_tile_pa(std::int64_t rows, std::int64_t cols, std::int64_t kc, const float* ap,
-                  const float* b, std::int64_t N, float* c, const float* bias, bool first,
-                  const TailCtx* tail) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      float acc = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
-      for (std::int64_t k = 0; k < kc; ++k) acc += ap[k * kMr + i] * b[k * N + j];
-      if (tail != nullptr) acc = apply_tail(*tail, acc, j);
-      c[i * N + j] = acc;
-    }
-  }
-}
-
-}  // namespace
-
-void set_pack_a_enabled(bool enabled) {
-  g_pack_a_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool pack_a_enabled() { return g_pack_a_enabled.load(std::memory_order_relaxed); }
-
-namespace {
-
-/// Scalar (lane-scatter) fill of one panel row: row i's element j lands at
-/// row[j * kMr]. Shared by the non-SSE2 build, short-run shapes, and the
-/// final partial panel.
-inline void pack_row_scatter(float* row, const float* sample, int y0, int x0, int ih, int iw,
-                             int ic, int kh, int kw, std::int64_t irow_stride, std::int64_t run) {
-  std::int64_t j = 0;
-  for (int ky = 0; ky < kh; ++ky) {
-    const int iy = y0 + ky;
-    if (iy < 0 || iy >= ih) {
-      scatter_zero_floats(row + j * kMr, run);
-      j += run;
-      continue;
-    }
-    const float* irow = sample + static_cast<std::int64_t>(iy) * irow_stride;
-    if (x0 >= 0 && x0 + kw <= iw) {
-      scatter_floats(row + j * kMr, irow + static_cast<std::int64_t>(x0) * ic, run);
-      j += run;
-      continue;
-    }
-    for (int kx = 0; kx < kw; ++kx) {
-      const int ix = x0 + kx;
-      if (ix < 0 || ix >= iw) {
-        scatter_zero_floats(row + j * kMr, ic);
-      } else {
-        scatter_floats(row + j * kMr, irow + static_cast<std::int64_t>(ix) * ic, ic);
-      }
-      j += ic;
-    }
-  }
-}
-
-}  // namespace
-
-void im2col_pack_a_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
-                        int pad_top, int pad_left, int oh, int ow, const float* in, float* pack) {
-  const std::int64_t sample_elems = static_cast<std::int64_t>(ih) * iw * ic;
-  const std::int64_t K = static_cast<std::int64_t>(kh) * kw * ic;
-  const std::int64_t run = static_cast<std::int64_t>(kw) * ic;
-  const std::int64_t irow_stride = static_cast<std::int64_t>(iw) * ic;
-#if IOB_GEMM_SSE2
-  if (run >= 4 && run <= kPackStageRun) {
-    // Panel-accumulator walk: gather four rows' geometry (all computed
-    // incrementally from the (s, oy, ox) scan — no per-row divides), then
-    // emit the full panel with 4x4 transposes so the pack writes stream.
-    // All-interior panels take a branch-free per-ky loop; panels touching
-    // padding stage each padded tap run (zeros + edge pieces) into a small
-    // stack buffer first. Staged values are identical to the scalar
-    // path's, so the panel bytes (and the GEMM) stay bit-exact. Panel rows
-    // may straddle oy scans or samples.
-    const float* samp[kMr];
-    int y0v[kMr];
-    int x0v[kMr];
-    int np = 0;
-    float* panel = pack;
-    alignas(16) float staged[kMr][kPackStageRun];
-    const auto emit_panel = [&]() {
-      bool interior = true;
-      for (int d = 0; d < kMr; ++d) {
-        interior = interior && y0v[d] >= 0 && y0v[d] + kh <= ih && x0v[d] >= 0 && x0v[d] + kw <= iw;
-      }
-      if (interior) {
-        const float* base[kMr];
-        for (int d = 0; d < kMr; ++d) {
-          base[d] = samp[d] + static_cast<std::int64_t>(y0v[d]) * irow_stride +
-                    static_cast<std::int64_t>(x0v[d]) * ic;
-        }
-        for (int ky = 0; ky < kh; ++ky) {
-          const std::int64_t off = static_cast<std::int64_t>(ky) * irow_stride;
-          pack_rows4_transposed(panel + static_cast<std::int64_t>(ky) * run * kMr, base[0] + off,
-                                base[1] + off, base[2] + off, base[3] + off, run);
-        }
-      } else {
-        for (int ky = 0; ky < kh; ++ky) {
-          const float* src[kMr];
-          for (int d = 0; d < kMr; ++d) {
-            const int iy = y0v[d] + ky;
-            if (iy < 0 || iy >= ih) {
-              zero_floats(staged[d], run);
-              src[d] = staged[d];
-              continue;
-            }
-            const float* irow = samp[d] + static_cast<std::int64_t>(iy) * irow_stride;
-            const int x0 = x0v[d];
-            if (x0 >= 0 && x0 + kw <= iw) {
-              src[d] = irow + static_cast<std::int64_t>(x0) * ic;
-              continue;
-            }
-            float* st = staged[d];
-            std::int64_t j = 0;
-            for (int kx = 0; kx < kw; ++kx) {
-              const int ix = x0 + kx;
-              if (ix < 0 || ix >= iw) {
-                zero_floats(st + j, ic);
-              } else {
-                copy_floats(st + j, irow + static_cast<std::int64_t>(ix) * ic, ic);
-              }
-              j += ic;
-            }
-            src[d] = st;
-          }
-          pack_rows4_transposed(panel + static_cast<std::int64_t>(ky) * run * kMr, src[0], src[1],
-                                src[2], src[3], run);
-        }
-      }
-      panel += kMr * K;
-      np = 0;
-    };
-    for (int s = 0; s < batch; ++s) {
-      const float* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-      for (int oy = 0; oy < oh; ++oy) {
-        const int y0 = oy * sh - pad_top;
-        for (int ox = 0; ox < ow; ++ox) {
-          samp[np] = ib;
-          y0v[np] = y0;
-          x0v[np] = ox * sw - pad_left;
-          if (++np == kMr) emit_panel();
-        }
-      }
-    }
-    for (int d = 0; d < np; ++d) {
-      pack_row_scatter(panel + d, samp[d], y0v[d], x0v[d], ih, iw, ic, kh, kw, irow_stride, run);
-    }
-    return;
-  }
-#endif
-  std::int64_t r = 0;
-  for (int s = 0; s < batch; ++s) {
-    const float* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-    for (int oy = 0; oy < oh; ++oy) {
-      const int y0 = oy * sh - pad_top;
-      for (int ox = 0; ox < ow; ++ox) {
-        pack_row_scatter(pack + (r / kMr) * (kMr * K) + (r % kMr), ib, y0, ox * sw - pad_left, ih,
-                         iw, ic, kh, kw, irow_stride, run);
-        ++r;
-      }
-    }
-  }
-}
-
-void gemm_blocked_pa(std::int64_t M, std::int64_t N, std::int64_t K, const float* Ap,
-                     const float* B, const float* bias, float* C, const GemmTail& tail) {
-  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  IOB_EXPECTS(tail.kind != GemmTail::Kind::kBatchNorm ||
-                  (tail.scale != nullptr && tail.shift != nullptr),
-              "batchnorm tail needs scale and shift");
-  for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
-    const std::int64_t kc = std::min(kKc, K - k0);
-    const bool first = k0 == 0;
-    const bool tailed = k0 + kc == K && tail.kind != GemmTail::Kind::kNone;
-    const float* bk = B + k0 * N;
-    std::int64_t m = 0;
-    for (; m + kMr <= M; m += kMr) {
-      const float* am = Ap + (m / kMr) * (kMr * K) + k0 * kMr;
-      float* cm = C + m * N;
-      std::int64_t n = 0;
-      for (; n + kNr <= N; n += kNr) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
-        micro_tile_pa(kc, am, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first,
-                      tailed ? &t : nullptr);
-      }
-      if (n < N) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
-        edge_tile_pa(kMr, N - n, kc, am, bk + n, N, cm + n,
-                     bias != nullptr ? bias + n : nullptr, first, tailed ? &t : nullptr);
-      }
-    }
-    if (m < M) {
-      const TailCtx t{tail.kind, tail.cap, tail.scale, tail.shift};
-      edge_tile_pa(M - m, N, kc, Ap + (m / kMr) * (kMr * K) + k0 * kMr, bk, N, C + m * N, bias,
-                   first, tailed ? &t : nullptr);
-    }
-  }
-}
-
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
                    float* out) {
@@ -713,7 +364,7 @@ inline void epilogue_scalar(const EpiCtx& e, std::int32_t acc, std::int64_t j, s
 /// fill is a straight sign-extend / subtract / store sweep — 8 elements
 /// per step instead of the scalar 2 (this pack is the dominant overhead at
 /// small K, where the kp loop is short).
-void pack_a_tile_s8(const std::int8_t* a, std::int64_t K, std::int64_t kp0, std::int64_t kpc,
+void pack_tile_s8(const std::int8_t* a, std::int64_t K, std::int64_t kp0, std::int64_t kpc,
                     std::int32_t za, std::int64_t rows, std::int32_t* apk) {
   const std::int64_t k0 = kp0 * 2;
   const std::int64_t kelems = std::min(2 * kpc, K - k0);
@@ -752,31 +403,6 @@ void edge_tile_s8(std::int64_t rows, std::int64_t cols, std::int64_t kpc, const 
         const std::int32_t a1 = k + 1 < K ? arow[k + 1] - za : 0;
         const std::int16_t* bp = b + (kp * N + j) * 2;
         acc += a0 * bp[0] + a1 * bp[1];
-      }
-      if (epi != nullptr) {
-        epilogue_scalar(*epi, acc, j, i * N + j);
-      } else {
-        c[i * N + j] = acc;
-      }
-    }
-  }
-}
-
-/// Scalar edge path over pre-packed A panels: row i's K pairs live at
-/// apk[i * apk_stride + kp], two already-zero-point-subtracted int16 per
-/// int32 (little-endian: low half = even k). Identical integer arithmetic
-/// to `edge_tile_s8`, so results are bit-identical.
-void edge_tile_s8_pa(std::int64_t rows, std::int64_t cols, std::int64_t kpc,
-                     const std::int32_t* apk, std::int64_t apk_stride, const std::int16_t* b,
-                     std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const auto* arow = reinterpret_cast<const std::int16_t*>(apk + i * apk_stride);
-    for (std::int64_t j = 0; j < cols; ++j) {
-      std::int32_t acc = first ? 0 : c[i * N + j];
-      for (std::int64_t kp = 0; kp < kpc; ++kp) {
-        const std::int16_t* bp = b + (kp * N + j) * 2;
-        acc += static_cast<std::int32_t>(arow[2 * kp]) * bp[0] +
-               static_cast<std::int32_t>(arow[2 * kp + 1]) * bp[1];
       }
       if (epi != nullptr) {
         epilogue_scalar(*epi, acc, j, i * N + j);
@@ -838,9 +464,8 @@ inline void epi_store_row(const EpiCtx& e, __m128i a0, __m128i a1, std::int64_t 
 /// the f32 kernel's per-instruction density (the int8 throughput win the
 /// requantized path banks). The fused epilogue requantizes the tile
 /// straight out of registers on the final K block.
-void micro_tile_s8(std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_stride,
-                   const std::int16_t* b, std::int64_t N, std::int32_t* c, bool first,
-                   const EpiCtx* epi) {
+void micro_tile_s8(std::int64_t kpc, const std::int32_t* apk, const std::int16_t* b,
+                   std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
   static_assert(kMr == 4 && kNr == 8, "micro_tile_s8 is written for a 4x8 register tile");
   __m128i acc[kMr][2];
   for (int i = 0; i < kMr; ++i) {
@@ -857,7 +482,7 @@ void micro_tile_s8(std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_s
     const __m128i b0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow));
     const __m128i b1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow + 8));
     for (int i = 0; i < kMr; ++i) {
-      const __m128i ai = _mm_set1_epi32(apk[i * apk_stride + kp]);
+      const __m128i ai = _mm_set1_epi32(apk[i * kpc + kp]);
       acc[i][0] = _mm_add_epi32(acc[i][0], _mm_madd_epi16(ai, b0));
       acc[i][1] = _mm_add_epi32(acc[i][1], _mm_madd_epi16(ai, b1));
     }
@@ -941,7 +566,6 @@ __attribute__((target("avx2"))) inline void epi_store_row2(const EpiCtx& e, __m2
 /// bit-identical; dispatch is purely a throughput choice.
 __attribute__((target("avx2"))) void micro_tile_s8_avx2(std::int64_t kpc,
                                                         const std::int32_t* apk,
-                                                        std::int64_t apk_stride,
                                                         const std::int16_t* b, std::int64_t N,
                                                         std::int32_t* c, bool first,
                                                         const EpiCtx* epi) {
@@ -961,7 +585,7 @@ __attribute__((target("avx2"))) void micro_tile_s8_avx2(std::int64_t kpc,
     const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow));
     const __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + 16));
     for (int i = 0; i < kMr; ++i) {
-      const __m256i ai = _mm256_set1_epi32(apk[i * apk_stride + kp]);
+      const __m256i ai = _mm256_set1_epi32(apk[i * kpc + kp]);
       acc[i][0] = _mm256_add_epi32(acc[i][0], _mm256_madd_epi16(ai, b0));
       acc[i][1] = _mm256_add_epi32(acc[i][1], _mm256_madd_epi16(ai, b1));
     }
@@ -1070,8 +694,8 @@ constexpr std::int64_t kNr3 = 32;
 /// above the AVX2 kernel for layers with >= 32 output channels. The
 /// epilogue drops to the 256-bit path per ymm half (identical lane ops).
 __attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512(
-    std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_stride, const std::int16_t* b,
-    std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
+    std::int64_t kpc, const std::int32_t* apk, const std::int16_t* b, std::int64_t N,
+    std::int32_t* c, bool first, const EpiCtx* epi) {
   static_assert(kMr == 4, "micro_tile_s8_avx512 is written for 4 rows");
   __m512i acc[kMr][2];
   for (int i = 0; i < kMr; ++i) {
@@ -1088,7 +712,7 @@ __attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512(
     const __m512i b0 = _mm512_loadu_si512(brow);
     const __m512i b1 = _mm512_loadu_si512(brow + 32);
     for (int i = 0; i < kMr; ++i) {
-      const __m512i ai = _mm512_set1_epi32(apk[i * apk_stride + kp]);
+      const __m512i ai = _mm512_set1_epi32(apk[i * kpc + kp]);
       acc[i][0] = _mm512_add_epi32(acc[i][0], _mm512_madd_epi16(ai, b0));
       acc[i][1] = _mm512_add_epi32(acc[i][1], _mm512_madd_epi16(ai, b1));
     }
@@ -1117,8 +741,8 @@ __attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512(
 /// 16-channel stem): one vpmaddwd covers the whole column tile, so narrow
 /// GEMMs keep the 512-bit MAC density instead of dropping to AVX2.
 __attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512_n16(
-    std::int64_t kpc, const std::int32_t* apk, std::int64_t apk_stride, const std::int16_t* b,
-    std::int64_t N, std::int32_t* c, bool first, const EpiCtx* epi) {
+    std::int64_t kpc, const std::int32_t* apk, const std::int16_t* b, std::int64_t N,
+    std::int32_t* c, bool first, const EpiCtx* epi) {
   static_assert(kMr == 4, "micro_tile_s8_avx512_n16 is written for 4 rows");
   __m512i acc[kMr];
   for (int i = 0; i < kMr; ++i) {
@@ -1127,7 +751,7 @@ __attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512_n16(
   for (std::int64_t kp = 0; kp < kpc; ++kp) {
     const __m512i b0 = _mm512_loadu_si512(b + kp * 2 * N);
     for (int i = 0; i < kMr; ++i) {
-      const __m512i ai = _mm512_set1_epi32(apk[i * apk_stride + kp]);
+      const __m512i ai = _mm512_set1_epi32(apk[i * kpc + kp]);
       acc[i] = _mm512_add_epi32(acc[i], _mm512_madd_epi16(ai, b0));
     }
   }
@@ -1291,25 +915,25 @@ void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* 
     const bool avx2 = false;
 #endif
     for (; m + kMr <= M; m += kMr) {
-      pack_a_tile_s8(A + m * K, K, kp0, kpc, za, kMr, apk);
+      pack_tile_s8(A + m * K, K, kp0, kpc, za, kMr, apk);
       std::int64_t n = 0;
 #if IOB_GEMM_AVX2_DISPATCH
       if (avx512) {
         for (; n + kNr3 <= N; n += kNr3) {
           const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
+          micro_tile_s8_avx512(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
                                last && epi != nullptr ? &ctx : nullptr);
         }
         for (; n + kNr2 <= N; n += kNr2) {
           const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512_n16(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
+          micro_tile_s8_avx512_n16(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
                                    last && epi != nullptr ? &ctx : nullptr);
         }
       }
       if (avx2) {
         for (; n + kNr2 <= N; n += kNr2) {
           const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx2(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
+          micro_tile_s8_avx2(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
                              last && epi != nullptr ? &ctx : nullptr);
         }
       }
@@ -1318,7 +942,7 @@ void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* 
 #endif
       for (; n + kNr <= N; n += kNr) {
         const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-        micro_tile_s8(kpc, apk, kpc, bk + 2 * n, N, C + m * N + n, first,
+        micro_tile_s8(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
                       last && epi != nullptr ? &ctx : nullptr);
       }
       if (n < N) {
@@ -1332,71 +956,6 @@ void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* 
       const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, 0, N) : EpiCtx{};
       edge_tile_s8(M - m, N, kpc, A + m * K, K, kp0, za, bk, N, C + m * N, first,
                    last && epi != nullptr ? &ctx : nullptr);
-    }
-  }
-}
-
-void gemm_s8_pa(std::int64_t M, std::int64_t N, std::int64_t K, const std::int32_t* Ap,
-                const std::int16_t* bop, std::int32_t* C, const QuantEpilogue* epi) {
-  IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  IOB_EXPECTS(K < (std::int64_t{1} << 15), "int8 gemm K out of exact int32 range");
-  IOB_EXPECTS(epi == nullptr || ((epi->dst != nullptr) != (epi->dstf != nullptr)),
-              "quant epilogue needs exactly one target");
-  const std::int64_t kp_count = (K + 1) / 2;
-  for (std::int64_t kp0 = 0; kp0 < kp_count; kp0 += kKcPairs) {
-    const std::int64_t kpc = std::min(kKcPairs, kp_count - kp0);
-    const bool first = kp0 == 0;
-    const bool last = kp0 + kpc == kp_count;
-    const std::int16_t* bk = bop + kp0 * 2 * N;
-    std::int64_t m = 0;
-#if IOB_GEMM_SSE2
-#if IOB_GEMM_AVX2_DISPATCH
-    const bool avx2 = cpu_has_avx2();
-    const bool avx512 = cpu_has_avx512();
-#endif
-    for (; m + kMr <= M; m += kMr) {
-      // The panel already holds this tile's pairs in the `pack_a_tile_s8`
-      // layout; the microkernels just stream it with the panel's own pair
-      // stride instead of the stack tile's.
-      const std::int32_t* apk = Ap + (m / kMr) * (kMr * kp_count) + kp0;
-      std::int64_t n = 0;
-#if IOB_GEMM_AVX2_DISPATCH
-      if (avx512) {
-        for (; n + kNr3 <= N; n += kNr3) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                               last && epi != nullptr ? &ctx : nullptr);
-        }
-        for (; n + kNr2 <= N; n += kNr2) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512_n16(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                                   last && epi != nullptr ? &ctx : nullptr);
-        }
-      }
-      if (avx2) {
-        for (; n + kNr2 <= N; n += kNr2) {
-          const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx2(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                             last && epi != nullptr ? &ctx : nullptr);
-        }
-      }
-#endif
-      for (; n + kNr <= N; n += kNr) {
-        const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-        micro_tile_s8(kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                      last && epi != nullptr ? &ctx : nullptr);
-      }
-      if (n < N) {
-        const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-        edge_tile_s8_pa(kMr, N - n, kpc, apk, kp_count, bk + 2 * n, N, C + m * N + n, first,
-                        last && epi != nullptr ? &ctx : nullptr);
-      }
-    }
-#endif
-    if (m < M) {
-      const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, 0, N) : EpiCtx{};
-      edge_tile_s8_pa(M - m, N, kpc, Ap + (m / kMr) * (kMr * kp_count) + kp0, kp_count, bk, N,
-                      C + m * N, first, last && epi != nullptr ? &ctx : nullptr);
     }
   }
 }
@@ -1504,83 +1063,6 @@ void im2col_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, i
             col += ic;
           }
         }
-      }
-    }
-  }
-}
-
-namespace {
-
-/// Widen a tap slice into the panel's int16 stream: dst[i] = src[i] - za.
-/// Same SSE2 sign-extend / subtract / store sweep as `pack_a_tile_s8`.
-inline void widen_sub_s16(std::int16_t* dst, const std::int8_t* src, std::int64_t n,
-                          std::int32_t za) {
-  std::int64_t e = 0;
-#if IOB_GEMM_SSE2
-  const __m128i vza = _mm_set1_epi16(static_cast<std::int16_t>(za));
-  const __m128i vz = _mm_setzero_si128();
-  for (; e + 8 <= n; e += 8) {
-    const __m128i a8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + e));
-    const __m128i a16 = _mm_sub_epi16(_mm_unpacklo_epi8(a8, _mm_cmpgt_epi8(vz, a8)), vza);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + e), a16);
-  }
-#endif
-  for (; e < n; ++e) dst[e] = static_cast<std::int16_t>(src[e] - za);
-}
-
-inline void fill_zero_s16(std::int16_t* dst, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = 0;
-}
-
-}  // namespace
-
-void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
-                           int pad_top, int pad_left, int oh, int ow, std::int8_t zero_point,
-                           const std::int8_t* in, std::int32_t* pack) {
-  const std::int64_t sample_elems = static_cast<std::int64_t>(ih) * iw * ic;
-  const std::int64_t K = static_cast<std::int64_t>(kh) * kw * ic;
-  const std::int64_t kp_count = (K + 1) / 2;
-  const std::int32_t za = zero_point;
-  std::int64_t r = 0;
-  for (int s = 0; s < batch; ++s) {
-    const std::int8_t* ib = in + static_cast<std::int64_t>(s) * sample_elems;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        // Row r's pairs are contiguous int16 within its panel slot — the
-        // writes stream, unlike the f32 pack's lane scatter.
-        auto* drow =
-            reinterpret_cast<std::int16_t*>(pack + (r / kMr) * (kMr * kp_count) + (r % kMr) * kp_count);
-        std::int64_t j = 0;
-        const int x0 = ox * sw - pad_left;
-        for (int ky = 0; ky < kh; ++ky) {
-          const int iy = oy * sh + ky - pad_top;
-          if (iy < 0 || iy >= ih) {
-            // A pad tap's staged value IS the zero point: widened it is 0.
-            fill_zero_s16(drow + j, static_cast<std::int64_t>(kw) * ic);
-            j += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          const std::int8_t* irow = ib + static_cast<std::int64_t>(iy) * iw * ic;
-          if (x0 >= 0 && x0 + kw <= iw) {
-            widen_sub_s16(drow + j, irow + static_cast<std::int64_t>(x0) * ic,
-                          static_cast<std::int64_t>(kw) * ic, za);
-            j += static_cast<std::int64_t>(kw) * ic;
-            continue;
-          }
-          // The in-range kx taps are one contiguous source slice; zero the
-          // out-of-range head/tail and widen the middle in one sweep.
-          const int kx_lo = std::min(kw, std::max(0, -x0));
-          const int kx_hi = std::max(kx_lo, std::min(kw, iw - x0));
-          fill_zero_s16(drow + j, static_cast<std::int64_t>(kx_lo) * ic);
-          widen_sub_s16(drow + j + static_cast<std::int64_t>(kx_lo) * ic,
-                        irow + static_cast<std::int64_t>(x0 + kx_lo) * ic,
-                        static_cast<std::int64_t>(kx_hi - kx_lo) * ic, za);
-          fill_zero_s16(drow + j + static_cast<std::int64_t>(kx_hi) * ic,
-                        static_cast<std::int64_t>(kw - kx_hi) * ic);
-          j += static_cast<std::int64_t>(kw) * ic;
-        }
-        if ((K & 1) != 0) drow[K] = 0;  // odd-K tail: pad the last pair's high half
-        ++r;
       }
     }
   }

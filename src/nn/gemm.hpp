@@ -62,30 +62,6 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
 void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
                  int pad_left, int oh, int ow, const float* in, float* col);
 
-/// Runtime toggle for the packed-A conv path (`im2col_pack_a_nhwc` /
-/// `gemm_blocked_pa` and their int8 counterparts). On by default; the
-/// traffic-replay bench flips it off to measure the strided-read baseline,
-/// and results are bit-exact either way. Thread-safe (relaxed atomic).
-void set_pack_a_enabled(bool enabled);
-[[nodiscard]] bool pack_a_enabled();
-
-/// Fused im2col + A-panel pack: the exact patch walk of `im2col_nhwc`, but
-/// writing each patch row r into the kMr-row panel layout the GEMM
-/// microkernel streams — pack[(r / kMr) * kMr * K + k * kMr + (r % kMr)]
-/// holds element k of row r (K = kh * kw * ic). One k step of a panel is
-/// then one contiguous 16-byte load instead of four stride-K row reads.
-/// `pack` must hold ceil(M / kMr) * kMr * K floats (M = batch * oh * ow);
-/// tail-panel lanes beyond M are never written (and never read).
-void im2col_pack_a_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
-                        int pad_top, int pad_left, int oh, int ow, const float* in, float* pack);
-
-/// `gemm_blocked` over a panel-packed A (`im2col_pack_a_nhwc` layout). Same
-/// K blocking, bias seeding, and per-element increasing-k accumulation
-/// order — results are bit-exact vs `gemm_blocked` on the unpacked matrix;
-/// only the A access pattern changes (streaming loads vs strided reads).
-void gemm_blocked_pa(std::int64_t M, std::int64_t N, std::int64_t K, const float* Ap,
-                     const float* B, const float* bias, float* C, const GemmTail& tail = {});
-
 /// Depthwise 2-D convolution over NHWC input with weights repacked to
 /// [ky * k + kx][c] (channel-major per tap, so the channel loop vectorizes
 /// over contiguous weight and input lanes). Out-of-range taps are skipped,
@@ -191,26 +167,6 @@ void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int3
 void im2col_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw, int pad_top,
                     int pad_left, int oh, int ow, std::int8_t zero_point, const std::int8_t* in,
                     std::int8_t* col);
-
-/// Fused int8 im2col + A-panel pack: the patch walk of `im2col_s8_nhwc`
-/// emitting, whole-matrix, the zero-point-subtracted pair-merged operand
-/// `gemm_s8` otherwise builds per tile (`pack_a_tile_s8`) — so `gemm_s8_pa`
-/// skips the per-tile pack entirely, the dominant overhead at small K.
-/// Panel layout in int32 pair units (kp = ceil(K / 2)):
-/// pack[(r / kMr) * kMr * kp + (r % kMr) * kp + j] holds patch row r's
-/// k-pair j as two int16 (value - zero_point; odd-K tails pad the high
-/// int16 with 0, and out-of-range taps become 0 outright since the pad
-/// fill IS the zero point). `pack` must hold ceil(M / kMr) * kMr * kp
-/// int32s; tail-panel rows beyond M are never written (and never read).
-void im2col_pack_a_s8_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int sw,
-                           int pad_top, int pad_left, int oh, int ow, std::int8_t zero_point,
-                           const std::int8_t* in, std::int32_t* pack);
-
-/// `gemm_s8` over a pre-packed A (`im2col_pack_a_s8_nhwc` layout): the
-/// microkernels stream the panels directly instead of re-packing an A tile
-/// per K block. Identical exact integer arithmetic -> bit-identical output.
-void gemm_s8_pa(std::int64_t M, std::int64_t N, std::int64_t K, const std::int32_t* Ap,
-                const std::int16_t* bop, std::int32_t* C, const QuantEpilogue* epi = nullptr);
 
 /// Widen a tap-major int8 depthwise weight matrix ([ky * k + kx][c],
 /// per-channel zero points `zw[c]`) into the zero-point-subtracted int16

@@ -221,7 +221,6 @@ QuantizedModel::QuantizedModel(const Model& model, int calibration_samples) : mo
       max_acc_elems_ = std::max(max_acc_elems_, op.rows_per_sample * op.oc);
       if (op.is_conv && !op.pointwise) {
         max_scratch_elems_ = std::max(max_scratch_elems_, op.rows_per_sample * op.k_dim);
-        max_pack_a_elems_ = std::max(max_pack_a_elems_, op.rows_per_sample * kp);
       }
     } else if (op.kind == Op::Kind::kDwConv) {
       op.wop16.resize(op.qweights.size());
@@ -265,22 +264,6 @@ void QuantizedModel::run_op(const Op& op, Workspace& ws, const std::int8_t* in8,
         epi.dstf = outf;
       } else {
         epi.dst = out8;
-      }
-      // Fused im2col + panel pack pays only when each tap run (kw*ic) is
-      // wide enough for the int16 widening sweep to vectorize; narrow runs
-      // (e.g. conv1d on a single channel) write the panel tap-by-tap and
-      // lose to the two-pass path, whose per-tile pack sweeps contiguous K.
-      if (op.is_conv && !op.pointwise && static_cast<std::int64_t>(op.kw) * op.ic >= 4 &&
-          pack_a_enabled()) {
-        // gemm_s8_pa streams these panels and skips the per-tile A pack
-        // (bit-identical exact integer math).
-        const std::int64_t kp = (op.k_dim + 1) / 2;
-        ws.reserve_pack_a_s8((m + kMr - 1) / kMr * kMr * kp);
-        im2col_pack_a_s8_nhwc(batch, op.ih, op.iw, op.ic, op.kh, op.kw, op.sh, op.sw, op.pad_top,
-                              op.pad_left, op.oh, op.ow, static_cast<std::int8_t>(z_in), in8,
-                              ws.pack_a_s8());
-        gemm_s8_pa(m, op.oc, op.k_dim, ws.pack_a_s8(), op.wop16.data(), ws.acc(), &epi);
-        break;
       }
       const std::int8_t* a = in8;
       if (op.is_conv && !op.pointwise) {

@@ -114,9 +114,6 @@ class QuantizedModel {
   }
   [[nodiscard]] std::int64_t max_scratch_elems() const { return max_scratch_elems_; }
   [[nodiscard]] std::int64_t max_acc_elems() const { return max_acc_elems_; }
-  /// Packed-A panel units (int32 k-pairs) per sample of the widest
-  /// non-pointwise conv — the `Workspace::reserve_pack_a_s8` sizing quantum.
-  [[nodiscard]] std::int64_t max_pack_a_elems() const { return max_pack_a_elems_; }
 
   /// Number of lowered int8 ops (fused pairs count once).
   [[nodiscard]] std::size_t op_count() const { return ops_.size(); }
@@ -168,7 +165,6 @@ class QuantizedModel {
   std::int64_t weight_bytes_ = 0;
   std::int64_t max_scratch_elems_ = 0;
   std::int64_t max_acc_elems_ = 0;
-  std::int64_t max_pack_a_elems_ = 0;
 };
 
 }  // namespace iob::nn

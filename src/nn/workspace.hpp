@@ -41,13 +41,6 @@ class Workspace {
   /// tile between `gemm_s8` and the requantize/dequantize epilogue.
   void reserve_acc(std::int64_t elems);
 
-  /// Grow the int8 packed-A panel arena to `elems` int32 pair units (the
-  /// `im2col_pack_a_s8_nhwc` operand). Grow-only. The f32 packed path needs
-  /// no separate arena: its panels round M up to a multiple of kMr inside
-  /// the same float footprint class, so it reuses `im2col()` (the caller
-  /// reserves the rounded size).
-  void reserve_pack_a_s8(std::int64_t elems);
-
   /// Size every buffer for `model` at batch sizes up to `max_batch` in one
   /// shot (the "sized once per (model, max_batch)" entry point). Subsequent
   /// `Model::run_into` calls at any batch <= max_batch never allocate.
@@ -66,7 +59,6 @@ class Workspace {
   [[nodiscard]] std::int8_t* pong8() { return pong8_.data(); }
   [[nodiscard]] std::int8_t* im2col8() { return im2col8_.data(); }
   [[nodiscard]] std::int32_t* acc() { return acc_.data(); }
-  [[nodiscard]] std::int32_t* pack_a_s8() { return pack8_.data(); }
 
   [[nodiscard]] std::int64_t activation_capacity() const {
     return static_cast<std::int64_t>(ping_.size());
@@ -83,14 +75,11 @@ class Workspace {
   [[nodiscard]] std::int64_t acc_capacity() const {
     return static_cast<std::int64_t>(acc_.size());
   }
-  [[nodiscard]] std::int64_t pack_a_s8_capacity() const {
-    return static_cast<std::int64_t>(pack8_.size());
-  }
 
  private:
   std::vector<float> ping_, pong_, im2col_;
   std::vector<std::int8_t> ping8_, pong8_, im2col8_;
-  std::vector<std::int32_t> acc_, pack8_;
+  std::vector<std::int32_t> acc_;
 };
 
 namespace detail {

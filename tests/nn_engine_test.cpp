@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -222,19 +223,25 @@ TEST(LoweredEngine, ZooModelsBitExactSingleInference) {
 TEST(LoweredEngine, ZooModelsBitExactBatched) {
   for (int idx = 0; idx < 3; ++idx) {
     const Model m = zoo_model(idx);
-    constexpr int kBatch = 4;
-    std::vector<Tensor> inputs;
-    for (int s = 0; s < kBatch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), s));
-    const Tensor stacked = stack_batch(inputs);
-    const Tensor ref = m.run_batched_reference(stacked);  // seed batched loops
-    EXPECT_EQ(m.run_batched(stacked).max_abs_diff(ref), 0.0) << m.name();
-    // Vector overload stages samples directly into the workspace.
-    const std::vector<Tensor> outs = m.run_batched(inputs);
-    ASSERT_EQ(outs.size(), static_cast<std::size_t>(kBatch));
-    for (int s = 0; s < kBatch; ++s) {
-      const Tensor sample_ref = m.forward_reference(inputs[static_cast<std::size_t>(s)]);
-      EXPECT_EQ(outs[static_cast<std::size_t>(s)].max_abs_diff(sample_ref), 0.0)
-          << m.name() << " sample " << s;
+    for (const int batch : {2, 4, 5}) {
+      std::vector<Tensor> inputs;
+      for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), s));
+      const Tensor stacked = stack_batch(inputs);
+      const Tensor ref = m.run_batched_reference(stacked);  // seed batched loops
+      EXPECT_EQ(m.run_batched(stacked).max_abs_diff(ref), 0.0) << m.name() << " batch " << batch;
+      Workspace ws;
+      const ConstSpan out = m.run_into(ws, stacked.data(), batch);
+      ASSERT_EQ(out.size, ref.size()) << m.name() << " batch " << batch;
+      EXPECT_EQ(std::memcmp(out.data, ref.data(), ref.size() * sizeof(float)), 0)
+          << m.name() << " batch " << batch;
+      // Vector overload stages samples directly into the workspace.
+      const std::vector<Tensor> outs = m.run_batched(inputs);
+      ASSERT_EQ(outs.size(), static_cast<std::size_t>(batch));
+      for (int s = 0; s < batch; ++s) {
+        const Tensor sample_ref = m.forward_reference(inputs[static_cast<std::size_t>(s)]);
+        EXPECT_EQ(outs[static_cast<std::size_t>(s)].max_abs_diff(sample_ref), 0.0)
+            << m.name() << " batch " << batch << " sample " << s;
+      }
     }
   }
 }

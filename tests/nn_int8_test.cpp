@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -303,19 +304,24 @@ TEST(QuantizedZoo, WeightBytesMatchParameterFootprint) {
 TEST(QuantizedEngine, BatchedResultsBitIdenticalToSingleSample) {
   // Integer accumulation is batch-invariant, and the epilogue is
   // elementwise — so unlike a float engine, the int8 path is bit-identical
-  // across batch sizes by construction. Assert it.
+  // across batch sizes by construction. Assert it at an odd and an even
+  // batch.
   for (int idx = 0; idx < 3; ++idx) {
     const Model m = zoo_model(idx);
     const QuantizedModel qm(m);
-    constexpr int kBatch = 4;
-    std::vector<Tensor> inputs;
-    for (int s = 0; s < kBatch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 40 + s));
-    const Tensor stacked = stack_batch(inputs);
-    const Tensor batched = qm.run_batched(stacked);
-    for (int s = 0; s < kBatch; ++s) {
-      const Tensor single = qm.forward(inputs[static_cast<std::size_t>(s)]);
-      EXPECT_EQ(batched.batch_item(s).max_abs_diff(single), 0.0)
-          << m.name() << " sample " << s;
+    for (const int batch : {3, 4}) {
+      std::vector<Tensor> inputs;
+      for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 40 + s));
+      const Tensor stacked = stack_batch(inputs);
+      const Tensor batched = qm.run_batched(stacked);
+      for (int s = 0; s < batch; ++s) {
+        const Tensor single = qm.forward(inputs[static_cast<std::size_t>(s)]);
+        EXPECT_EQ(batched.batch_item(s).max_abs_diff(single), 0.0)
+            << m.name() << " batch " << batch << " sample " << s;
+        const float* row = batched.data() + static_cast<std::int64_t>(s) * single.size();
+        EXPECT_EQ(std::memcmp(row, single.data(), single.size() * sizeof(float)), 0)
+            << m.name() << " batch " << batch << " sample " << s;
+      }
     }
   }
 }
