@@ -24,6 +24,7 @@
 #include "common/alloc_interposer.hpp"  // defines global operator new/delete
 #include "common/expect.hpp"
 #include "common/table.hpp"
+#include "nn/gemm.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
@@ -57,6 +58,8 @@ void print_headline() {
                           {"vww", nn::make_vww_micronet()}};
 
   bench::JsonReporter json("nn_infer");
+  // Which kernel tier (0 SSE2, 1 AVX2, 2 AVX-512) produced these numbers.
+  json.add("nn_dispatch_tier", nn::kernel_dispatch_tier());
   common::Table t({"model", "single (inf/s)", "seed (inf/s)", "speedup", "batched (inf/s)",
                    "seed batched", "speedup", "allocs/inf"});
 

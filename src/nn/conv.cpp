@@ -262,6 +262,11 @@ Tensor DepthwiseConv2D::forward_batched(const Tensor& input, int batch) const {
 
 void DepthwiseConv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                                    Workspace& ws) const {
+  forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
+}
+
+void DepthwiseConv2D::forward_into_fused(const float* in, const Shape& in_shape, int batch,
+                                         float* out, Workspace& ws, const GemmTail& tail) const {
   (void)ws;
   IOB_EXPECTS(in_shape.size() == 3, "dwconv expects HWC input");
   IOB_EXPECTS(in_shape[2] == c_, "dwconv channel mismatch");
@@ -270,7 +275,7 @@ void DepthwiseConv2D::forward_into(const float* in, const Shape& in_shape, int b
   conv_axis(ih, k_, s_, padding_, oh, pad_top);
   conv_axis(iw, k_, s_, padding_, ow, pad_left);
   dwconv2d_nhwc(batch, ih, iw, c_, k_, s_, pad_top, pad_left, oh, ow, in, packed_.data(),
-                bias_.data(), out);
+                bias_.data(), out, tail);
 }
 
 Tensor DepthwiseConv2D::forward_reference(const Tensor& input) const {

@@ -73,6 +73,9 @@ class DepthwiseConv2D final : public Layer {
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Tensor forward_batched_reference(const Tensor& input, int batch) const override;
+  [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
+  void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
+                          Workspace& ws, const GemmTail& tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override;

@@ -10,12 +10,15 @@
 #include <emmintrin.h>
 #endif
 
-// Runtime-dispatched AVX2 path for the *integer* kernels only. Integer
-// accumulation is exact at any vector width, so the AVX2, SSE2 and scalar
-// paths are bit-identical by construction — unlike the f32 kernels, where
-// widening (or FMA) would change rounding and break the seed-loop
-// bit-exactness contract. The f32 path therefore stays SSE2-only while the
-// int8 path picks up 16-MAC vpmaddwd on hardware that has it.
+// Runtime-dispatched AVX2 and AVX-512 tiers above the SSE2 baseline, for
+// both precisions. The int8 kernels accumulate exactly in int32, so every
+// width gives the same bits by construction. The f32 kernels keep the seed
+// loops' bits because each lane runs the same separate multiply then add,
+// in the same k order, at any vector width: a wider register only computes
+// more output elements side by side. Only fusing the pair into one FMA
+// (a single rounding instead of two) would change a result, so the build
+// compiles with -ffp-contract=off and the kernels never call an FMA
+// intrinsic.
 #if IOB_GEMM_SSE2 && (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
 #define IOB_GEMM_AVX2_DISPATCH 1
 #include <immintrin.h>
@@ -26,6 +29,22 @@
 namespace iob::nn {
 
 namespace {
+
+/// Dispatch-tier cap for the test hook (INT_MAX = full auto).
+std::atomic<int> g_dispatch_cap{std::numeric_limits<int>::max()};
+
+#if IOB_GEMM_AVX2_DISPATCH
+bool cpu_has_avx2() {
+  static const bool v = __builtin_cpu_supports("avx2") != 0;
+  return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 1;
+}
+
+bool cpu_has_avx512() {
+  static const bool v =
+      __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
+  return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 2;
+}
+#endif
 
 /// Fused-tail context handed to the tile kernels on the final K block:
 /// `scale`/`shift` are pre-offset to the tile's first column. A nullptr
@@ -38,6 +57,12 @@ struct TailCtx {
   const float* shift = nullptr;
 };
 
+/// `tail` with its per-column arrays offset to column `n`.
+inline TailCtx tail_at(const GemmTail& tail, std::int64_t n) {
+  return TailCtx{tail.kind, tail.cap, tail.scale != nullptr ? tail.scale + n : nullptr,
+                 tail.shift != nullptr ? tail.shift + n : nullptr};
+}
+
 /// The scalar tail op: the exact per-element expressions of
 /// `Relu::forward_into` / `BatchNorm::forward_into` (column j of the tile).
 inline float apply_tail(const TailCtx& t, float v, std::int64_t j) {
@@ -49,34 +74,38 @@ inline float apply_tail(const TailCtx& t, float v, std::int64_t j) {
   return t.scale[j] * v + t.shift[j];
 }
 
-/// kMr x kNr microkernel: accumulate `kc` terms of A*B into the C tile.
-/// On the first K block the tile starts from the bias row; afterwards the
-/// partial sums re-load from C, so the per-element accumulation order over
-/// the whole K range is the plain increasing-k order. A non-null `tail`
-/// (final K block only) applies the fused elementwise epilogue while the
-/// tile is still in registers.
-///
-/// The SSE2 path issues the exact same per-lane mul/add sequence as the
-/// portable loop (no FMA — fusing would skip the intermediate rounding the
-/// seed loops perform, breaking bit-exactness), it just pins the 4x8
-/// accumulator block into eight xmm registers so the k loop runs ~2 ops
-/// per 4 MACs instead of the compiler's spill-prone autovectorization.
+// The tile kernels below accumulate `kc` terms of A*B into a kMr-row C
+// tile. On the first K block the tile starts from the bias row; afterwards
+// the partial sums re-load from C, so the per-element accumulation order
+// over the whole K range is the plain increasing-k order. A non-null
+// `tail` (final K block only) applies the fused elementwise epilogue while
+// the tile is still in registers. Each vector tier issues the same per-lane
+// mul/add sequence as the portable loop; it just pins the accumulator block
+// in registers so the k loop runs ~2 ops per vector of MACs.
+
 #if IOB_GEMM_SSE2
+/// Lane-wise `apply_tail` over columns [j, j + 4). max/min match
+/// std::max(0, v) / std::min(cap, v) lane-for-lane on the finite
+/// activations the engine traffics in; batchnorm is the same mul then add.
+inline __m128 tail_ps(const TailCtx& t, __m128 v, std::int64_t j) {
+  if (t.kind == GemmTail::Kind::kRelu) {
+    v = _mm_max_ps(_mm_setzero_ps(), v);
+    return t.cap > 0.0f ? _mm_min_ps(_mm_set1_ps(t.cap), v) : v;
+  }
+  return _mm_add_ps(_mm_mul_ps(_mm_loadu_ps(t.scale + j), v), _mm_loadu_ps(t.shift + j));
+}
+
+/// kMr x kNr SSE2 tile: the 4x8 accumulator block lives in eight xmm
+/// registers across the k loop.
 void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b, std::int64_t N,
                 float* c, const float* bias, bool first, const TailCtx* tail) {
   static_assert(kMr == 4 && kNr == 8, "micro_tile is written for a 4x8 register tile");
   __m128 acc[kMr][2];
-  if (first) {
-    const __m128 b0 = bias != nullptr ? _mm_loadu_ps(bias) : _mm_setzero_ps();
-    const __m128 b1 = bias != nullptr ? _mm_loadu_ps(bias + 4) : _mm_setzero_ps();
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = b0;
-      acc[i][1] = b1;
-    }
-  } else {
-    for (int i = 0; i < kMr; ++i) {
-      acc[i][0] = _mm_loadu_ps(c + i * N);
-      acc[i][1] = _mm_loadu_ps(c + i * N + 4);
+  for (int i = 0; i < kMr; ++i) {
+    for (int h = 0; h < 2; ++h) {
+      acc[i][h] = !first          ? _mm_loadu_ps(c + i * N + 4 * h)
+                  : bias != nullptr ? _mm_loadu_ps(bias + 4 * h)
+                                    : _mm_setzero_ps();
     }
   }
   for (std::int64_t k = 0; k < kc; ++k) {
@@ -89,34 +118,11 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
       acc[i][1] = _mm_add_ps(acc[i][1], _mm_mul_ps(ai, b1));
     }
   }
-  if (tail != nullptr) {
-    if (tail->kind == GemmTail::Kind::kRelu) {
-      // max/min match std::max(0, v) / std::min(cap, v) lane-for-lane on
-      // the finite activations the engine traffics in.
-      const __m128 zero = _mm_setzero_ps();
-      const __m128 cap = _mm_set1_ps(tail->cap);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_max_ps(zero, acc[i][0]);
-        acc[i][1] = _mm_max_ps(zero, acc[i][1]);
-        if (tail->cap > 0.0f) {
-          acc[i][0] = _mm_min_ps(cap, acc[i][0]);
-          acc[i][1] = _mm_min_ps(cap, acc[i][1]);
-        }
-      }
-    } else {
-      const __m128 s0 = _mm_loadu_ps(tail->scale);
-      const __m128 s1 = _mm_loadu_ps(tail->scale + 4);
-      const __m128 h0 = _mm_loadu_ps(tail->shift);
-      const __m128 h1 = _mm_loadu_ps(tail->shift + 4);
-      for (int i = 0; i < kMr; ++i) {
-        acc[i][0] = _mm_add_ps(_mm_mul_ps(s0, acc[i][0]), h0);
-        acc[i][1] = _mm_add_ps(_mm_mul_ps(s1, acc[i][1]), h1);
-      }
-    }
-  }
   for (int i = 0; i < kMr; ++i) {
-    _mm_storeu_ps(c + i * N, acc[i][0]);
-    _mm_storeu_ps(c + i * N + 4, acc[i][1]);
+    for (int h = 0; h < 2; ++h) {
+      if (tail != nullptr) acc[i][h] = tail_ps(*tail, acc[i][h], 4 * h);
+      _mm_storeu_ps(c + i * N + 4 * h, acc[i][h]);
+    }
   }
 }
 #else
@@ -146,6 +152,114 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
 }
 #endif
 
+#if IOB_GEMM_AVX2_DISPATCH
+/// AVX2 column width of the f32 tile (two ymm accumulators per row).
+constexpr std::int64_t kNrF2 = 16;
+
+/// 256-bit `tail_ps` (same lane ops).
+__attribute__((target("avx2"))) inline __m256 tail_ps256(const TailCtx& t, __m256 v,
+                                                         std::int64_t j) {
+  if (t.kind == GemmTail::Kind::kRelu) {
+    v = _mm256_max_ps(_mm256_setzero_ps(), v);
+    return t.cap > 0.0f ? _mm256_min_ps(_mm256_set1_ps(t.cap), v) : v;
+  }
+  return _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(t.scale + j), v),
+                       _mm256_loadu_ps(t.shift + j));
+}
+
+/// kMr x kNrF2 AVX2 tile: eight ymm accumulators, twice the SSE2 tile's
+/// columns per k step.
+__attribute__((target("avx2"))) void micro_tile_avx2(std::int64_t kc, const float* a,
+                                                     std::int64_t K, const float* b,
+                                                     std::int64_t N, float* c, const float* bias,
+                                                     bool first, const TailCtx* tail) {
+  static_assert(kMr == 4, "micro_tile_avx2 is written for 4 rows");
+  __m256 acc[kMr][2];
+  for (int i = 0; i < kMr; ++i) {
+    for (int h = 0; h < 2; ++h) {
+      acc[i][h] = !first          ? _mm256_loadu_ps(c + i * N + 8 * h)
+                  : bias != nullptr ? _mm256_loadu_ps(bias + 8 * h)
+                                    : _mm256_setzero_ps();
+    }
+  }
+  for (std::int64_t k = 0; k < kc; ++k) {
+    const float* brow = b + k * N;
+    const __m256 b0 = _mm256_loadu_ps(brow);
+    const __m256 b1 = _mm256_loadu_ps(brow + 8);
+    for (int i = 0; i < kMr; ++i) {
+      const __m256 ai = _mm256_set1_ps(a[i * K + k]);
+      acc[i][0] = _mm256_add_ps(acc[i][0], _mm256_mul_ps(ai, b0));
+      acc[i][1] = _mm256_add_ps(acc[i][1], _mm256_mul_ps(ai, b1));
+    }
+  }
+  for (int i = 0; i < kMr; ++i) {
+    for (int h = 0; h < 2; ++h) {
+      if (tail != nullptr) acc[i][h] = tail_ps256(*tail, acc[i][h], 8 * h);
+      _mm256_storeu_ps(c + i * N + 8 * h, acc[i][h]);
+    }
+  }
+}
+
+// GCC 12's avx512 max/min intrinsics trip -Wmaybe-uninitialized on the
+// unused merge operand of the maskless form; the value is never read.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/// AVX-512 column width of the f32 tile (two zmm accumulators per row).
+constexpr std::int64_t kNrF3 = 32;
+
+/// 512-bit `tail_ps` (same lane ops).
+__attribute__((target("avx2,avx512f"))) inline __m512 tail_ps512(const TailCtx& t, __m512 v,
+                                                                 std::int64_t j) {
+  if (t.kind == GemmTail::Kind::kRelu) {
+    v = _mm512_max_ps(_mm512_setzero_ps(), v);
+    return t.cap > 0.0f ? _mm512_min_ps(_mm512_set1_ps(t.cap), v) : v;
+  }
+  return _mm512_add_ps(_mm512_mul_ps(_mm512_loadu_ps(t.scale + j), v),
+                       _mm512_loadu_ps(t.shift + j));
+}
+
+/// kMr x kNrF3 AVX-512 tile: eight zmm accumulators, four times the SSE2
+/// tile's columns per k step.
+__attribute__((target("avx2,avx512f"))) void micro_tile_avx512(std::int64_t kc, const float* a,
+                                                               std::int64_t K, const float* b,
+                                                               std::int64_t N, float* c,
+                                                               const float* bias, bool first,
+                                                               const TailCtx* tail) {
+  static_assert(kMr == 4, "micro_tile_avx512 is written for 4 rows");
+  __m512 acc[kMr][2];
+  for (int i = 0; i < kMr; ++i) {
+    for (int h = 0; h < 2; ++h) {
+      acc[i][h] = !first          ? _mm512_loadu_ps(c + i * N + 16 * h)
+                  : bias != nullptr ? _mm512_loadu_ps(bias + 16 * h)
+                                    : _mm512_setzero_ps();
+    }
+  }
+  for (std::int64_t k = 0; k < kc; ++k) {
+    const float* brow = b + k * N;
+    const __m512 b0 = _mm512_loadu_ps(brow);
+    const __m512 b1 = _mm512_loadu_ps(brow + 16);
+    for (int i = 0; i < kMr; ++i) {
+      const __m512 ai = _mm512_set1_ps(a[i * K + k]);
+      acc[i][0] = _mm512_add_ps(acc[i][0], _mm512_mul_ps(ai, b0));
+      acc[i][1] = _mm512_add_ps(acc[i][1], _mm512_mul_ps(ai, b1));
+    }
+  }
+  for (int i = 0; i < kMr; ++i) {
+    for (int h = 0; h < 2; ++h) {
+      if (tail != nullptr) acc[i][h] = tail_ps512(*tail, acc[i][h], 16 * h);
+      _mm512_storeu_ps(c + i * N + 16 * h, acc[i][h]);
+    }
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif  // IOB_GEMM_AVX2_DISPATCH
+
 /// Scalar edge path for the M/N remainders, same accumulation order.
 void edge_tile(std::int64_t rows, std::int64_t cols, std::int64_t kc, const float* a,
                std::int64_t K, const float* b, std::int64_t N, float* c, const float* bias,
@@ -163,6 +277,19 @@ void edge_tile(std::int64_t rows, std::int64_t cols, std::int64_t kc, const floa
 
 }  // namespace
 
+void set_kernel_dispatch_cap(int cap) {
+  g_dispatch_cap.store(cap < 0 ? std::numeric_limits<int>::max() : cap,
+                       std::memory_order_relaxed);
+}
+
+int kernel_dispatch_tier() {
+#if IOB_GEMM_AVX2_DISPATCH
+  if (cpu_has_avx512()) return 2;
+  if (cpu_has_avx2()) return 1;
+#endif
+  return 0;
+}
+
 void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float* dst) {
   for (std::int64_t r = 0; r < rows; ++r) {
     for (std::int64_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
@@ -175,6 +302,10 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
   IOB_EXPECTS(tail.kind != GemmTail::Kind::kBatchNorm ||
                   (tail.scale != nullptr && tail.shift != nullptr),
               "batchnorm tail needs scale and shift");
+#if IOB_GEMM_AVX2_DISPATCH
+  const bool avx2 = cpu_has_avx2();
+  const bool avx512 = cpu_has_avx512();
+#endif
   for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
     const std::int64_t kc = std::min(kKc, K - k0);
     const bool first = k0 == 0;
@@ -185,23 +316,35 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
       const float* am = A + m * K + k0;
       float* cm = C + m * N;
       std::int64_t n = 0;
+#if IOB_GEMM_AVX2_DISPATCH
+      if (avx512) {
+        for (; n + kNrF3 <= N; n += kNrF3) {
+          const TailCtx t = tail_at(tail, n);
+          micro_tile_avx512(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr,
+                            first, tailed ? &t : nullptr);
+        }
+      }
+      if (avx2) {
+        for (; n + kNrF2 <= N; n += kNrF2) {
+          const TailCtx t = tail_at(tail, n);
+          micro_tile_avx2(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr,
+                          first, tailed ? &t : nullptr);
+        }
+      }
+#endif
       for (; n + kNr <= N; n += kNr) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
+        const TailCtx t = tail_at(tail, n);
         micro_tile(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first,
                    tailed ? &t : nullptr);
       }
       if (n < N) {
-        const TailCtx t{tail.kind, tail.cap,
-                        tail.scale != nullptr ? tail.scale + n : nullptr,
-                        tail.shift != nullptr ? tail.shift + n : nullptr};
+        const TailCtx t = tail_at(tail, n);
         edge_tile(kMr, N - n, kc, am, K, bk + n, N, cm + n,
                   bias != nullptr ? bias + n : nullptr, first, tailed ? &t : nullptr);
       }
     }
     if (m < M) {
-      const TailCtx t{tail.kind, tail.cap, tail.scale, tail.shift};
+      const TailCtx t = tail_at(tail, 0);
       edge_tile(M - m, N, kc, A + m * K + k0, K, bk, N, C + m * N, bias, first,
                 tailed ? &t : nullptr);
     }
@@ -265,30 +408,156 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
   }
 }
 
+namespace {
+
+/// Arguments of one f32 depthwise call, plus the per-pixel view its tier
+/// kernels walk. `pixel` hoists the in-range tap window [ky0, ky1) x
+/// [kx0, kx1) once per output pixel, so the channel loops run branch-free
+/// over exactly the taps the seed loop visits, in the same (ky, kx) order.
+struct DwConv {
+  int ih, iw, c, k, stride, pad_top, pad_left, oh, ow;
+  const float* in;
+  const float* w;  ///< [k * k][c] repacked weights
+  const float* bias;
+  float* out;
+  const TailCtx* tail;  ///< fused Relu/BatchNorm, nullptr = none
+
+  struct Pixel {
+    const DwConv& g;
+    const float* in;  ///< this pixel's input sample
+    float* out;       ///< this pixel's c outputs
+    int iy, ix;       ///< input coordinates under tap (0, 0), possibly in the padding
+    int ky0, ky1, kx0, kx1;
+
+    [[nodiscard]] const float* input(int ky, int kx, int ch) const {
+      return in + (static_cast<std::int64_t>(iy + ky) * g.iw + ix + kx) * g.c + ch;
+    }
+    [[nodiscard]] const float* weight(int ky, int kx, int ch) const {
+      return g.w + (static_cast<std::int64_t>(ky) * g.k + kx) * g.c + ch;
+    }
+  };
+
+  [[nodiscard]] Pixel pixel(int s, int oy, int ox) const {
+    const int iy = oy * stride - pad_top;
+    const int ix = ox * stride - pad_left;
+    return Pixel{*this,
+                 in + static_cast<std::int64_t>(s) * ih * iw * c,
+                 out + ((static_cast<std::int64_t>(s) * oh + oy) * ow + ox) * c,
+                 iy,
+                 ix,
+                 std::max(0, -iy),
+                 std::min(k, ih - iy),
+                 std::max(0, -ix),
+                 std::min(k, iw - ix)};
+  }
+};
+
+/// Channels [ch, c) of one pixel: SSE2 4-lane blocks, then scalar. Each
+/// channel accumulator starts from its bias and stays in a register across
+/// the taps. Every tier finishes its pixels here, so a given channel runs
+/// the same tail ops (vector or scalar) at every tier.
+inline void dw_pixel_rest(const DwConv::Pixel& p, int ch) {
+  const TailCtx* t = p.g.tail;
+#if IOB_GEMM_SSE2
+  for (; ch + 4 <= p.g.c; ch += 4) {
+    __m128 acc = _mm_loadu_ps(p.g.bias + ch);
+    for (int ky = p.ky0; ky < p.ky1; ++ky) {
+      for (int kx = p.kx0; kx < p.kx1; ++kx) {
+        acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(p.weight(ky, kx, ch)),
+                                         _mm_loadu_ps(p.input(ky, kx, ch))));
+      }
+    }
+    if (t != nullptr) acc = tail_ps(*t, acc, ch);
+    _mm_storeu_ps(p.out + ch, acc);
+  }
+#endif
+  for (; ch < p.g.c; ++ch) {
+    float acc = p.g.bias[ch];
+    for (int ky = p.ky0; ky < p.ky1; ++ky) {
+      for (int kx = p.kx0; kx < p.kx1; ++kx) acc += *p.weight(ky, kx, ch) * *p.input(ky, kx, ch);
+    }
+    if (t != nullptr) acc = apply_tail(*t, acc, ch);
+    p.out[ch] = acc;
+  }
+}
+
+#if IOB_GEMM_AVX2_DISPATCH
+/// AVX2 tier of one pixel: 8-channel ymm blocks, then the SSE2/scalar rest.
+__attribute__((target("avx2"))) inline void dw_pixel_avx2(const DwConv::Pixel& p, int ch) {
+  for (; ch + 8 <= p.g.c; ch += 8) {
+    __m256 acc = _mm256_loadu_ps(p.g.bias + ch);
+    for (int ky = p.ky0; ky < p.ky1; ++ky) {
+      for (int kx = p.kx0; kx < p.kx1; ++kx) {
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_loadu_ps(p.weight(ky, kx, ch)),
+                                               _mm256_loadu_ps(p.input(ky, kx, ch))));
+      }
+    }
+    if (p.g.tail != nullptr) acc = tail_ps256(*p.g.tail, acc, ch);
+    _mm256_storeu_ps(p.out + ch, acc);
+  }
+  dw_pixel_rest(p, ch);
+}
+
+__attribute__((target("avx2"))) void dwconv2d_avx2(const DwConv& g, int batch) {
+  for (int s = 0; s < batch; ++s) {
+    for (int oy = 0; oy < g.oh; ++oy) {
+      for (int ox = 0; ox < g.ow; ++ox) dw_pixel_avx2(g.pixel(s, oy, ox), 0);
+    }
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/// AVX-512 tier: 16-channel zmm blocks, then the AVX2 tier's rest.
+__attribute__((target("avx2,avx512f"))) void dwconv2d_avx512(const DwConv& g, int batch) {
+  for (int s = 0; s < batch; ++s) {
+    for (int oy = 0; oy < g.oh; ++oy) {
+      for (int ox = 0; ox < g.ow; ++ox) {
+        const DwConv::Pixel p = g.pixel(s, oy, ox);
+        int ch = 0;
+        for (; ch + 16 <= g.c; ch += 16) {
+          __m512 acc = _mm512_loadu_ps(g.bias + ch);
+          for (int ky = p.ky0; ky < p.ky1; ++ky) {
+            for (int kx = p.kx0; kx < p.kx1; ++kx) {
+              acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_loadu_ps(p.weight(ky, kx, ch)),
+                                                     _mm512_loadu_ps(p.input(ky, kx, ch))));
+            }
+          }
+          if (g.tail != nullptr) acc = tail_ps512(*g.tail, acc, ch);
+          _mm512_storeu_ps(p.out + ch, acc);
+        }
+        dw_pixel_avx2(p, ch);
+      }
+    }
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif  // IOB_GEMM_AVX2_DISPATCH
+
+}  // namespace
+
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
-                   float* out) {
-  const std::int64_t in_sample = static_cast<std::int64_t>(ih) * iw * c;
-  const std::int64_t out_sample = static_cast<std::int64_t>(oh) * ow * c;
+                   float* out, const GemmTail& tail) {
+  IOB_EXPECTS(tail.kind != GemmTail::Kind::kBatchNorm ||
+                  (tail.scale != nullptr && tail.shift != nullptr),
+              "batchnorm tail needs scale and shift");
+  const TailCtx t = tail_at(tail, 0);
+  const DwConv g{ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, wpacked, bias, out,
+                 tail.kind != GemmTail::Kind::kNone ? &t : nullptr};
+#if IOB_GEMM_AVX2_DISPATCH
+  if (cpu_has_avx512()) return dwconv2d_avx512(g, batch);
+  if (cpu_has_avx2()) return dwconv2d_avx2(g, batch);
+#endif
   for (int s = 0; s < batch; ++s) {
-    const float* ib = in + static_cast<std::int64_t>(s) * in_sample;
-    float* ob = out + static_cast<std::int64_t>(s) * out_sample;
     for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        float* o = ob + (static_cast<std::int64_t>(oy) * ow + ox) * c;
-        for (int ch = 0; ch < c; ++ch) o[ch] = bias[ch];
-        for (int ky = 0; ky < k; ++ky) {
-          const int iy = oy * stride + ky - pad_top;
-          if (iy < 0 || iy >= ih) continue;
-          for (int kx = 0; kx < k; ++kx) {
-            const int ix = ox * stride + kx - pad_left;
-            if (ix < 0 || ix >= iw) continue;
-            const float* w = wpacked + (static_cast<std::int64_t>(ky) * k + kx) * c;
-            const float* p = ib + (static_cast<std::int64_t>(iy) * iw + ix) * c;
-            for (int ch = 0; ch < c; ++ch) o[ch] += w[ch] * p[ch];
-          }
-        }
-      }
+      for (int ox = 0; ox < ow; ++ox) dw_pixel_rest(g.pixel(s, oy, ox), 0);
     }
   }
 }
@@ -498,15 +767,7 @@ void micro_tile_s8(std::int64_t kpc, const std::int32_t* apk, const std::int16_t
 }
 #endif
 
-/// Dispatch-tier cap for the test hook (INT_MAX = full auto).
-std::atomic<int> g_int8_dispatch_cap{std::numeric_limits<int>::max()};
-
 #if IOB_GEMM_AVX2_DISPATCH
-
-bool cpu_has_avx2() {
-  static const bool v = __builtin_cpu_supports("avx2") != 0;
-  return v && g_int8_dispatch_cap.load(std::memory_order_relaxed) >= 1;
-}
 
 /// AVX2 column width of the int8 microkernel (two ymm accumulators/row).
 constexpr std::int64_t kNr2 = 16;
@@ -671,12 +932,6 @@ __attribute__((target("avx2"))) void dwconv2d_s8_avx2(int batch, int ih, int iw,
       }
     }
   }
-}
-
-bool cpu_has_avx512() {
-  static const bool v =
-      __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
-  return v && g_int8_dispatch_cap.load(std::memory_order_relaxed) >= 2;
 }
 
 // GCC 12's avx512 extract intrinsics trip -Wmaybe-uninitialized on the
@@ -884,11 +1139,6 @@ __attribute__((target("avx2,avx512f,avx512bw"))) void dwconv2d_s8_avx512(
 #endif  // IOB_GEMM_AVX2_DISPATCH
 
 }  // namespace
-
-void set_int8_dispatch_cap(int cap) {
-  g_int8_dispatch_cap.store(cap < 0 ? std::numeric_limits<int>::max() : cap,
-                            std::memory_order_relaxed);
-}
 
 void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* A,
              std::int32_t za, const std::int16_t* bop, std::int32_t* C,

@@ -11,15 +11,22 @@
 /// a * b` per term — the exact per-element operation sequence of the seed
 /// nested loops (`Layer::forward_reference`). Padding taps enter the GEMM
 /// as zero patch entries; `x + a*0` leaves the accumulator value unchanged,
-/// so lowered results equal the seed results bitwise.
+/// so lowered results equal the seed results bitwise. The contract holds at
+/// any vector width (each lane is one element's scalar sequence), so the
+/// f32 kernels dispatch SSE2 / AVX2 / AVX-512 tiers at run time like the
+/// int8 ones. It does not hold under FMA, which rounds a*b + acc once
+/// instead of twice: the build disables contraction (-ffp-contract=off).
 
 #include <cstdint>
 
 namespace iob::nn {
 
-/// Register-tile dims of the GEMM microkernel: kMr x kNr accumulators live
-/// in registers across the k loop (32 floats = 8 SSE registers, leaving
-/// room for the A broadcast and B row loads on the x86-64 baseline).
+/// Register-tile dims of the baseline GEMM microkernel: kMr x kNr
+/// accumulators live in registers across the k loop (eight SSE registers,
+/// leaving room for the A broadcast and B row loads). The AVX2 and AVX-512
+/// tiers keep kMr rows and widen the columns to 16 and 32 (eight ymm / zmm
+/// accumulators); the width only changes how many output elements run side
+/// by side, never an element's operation sequence.
 inline constexpr int kMr = 4;
 inline constexpr int kNr = 8;
 /// K cache block: one A panel row-block (kMr x kKc) plus the streamed B
@@ -65,10 +72,13 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
 /// Depthwise 2-D convolution over NHWC input with weights repacked to
 /// [ky * k + kx][c] (channel-major per tap, so the channel loop vectorizes
 /// over contiguous weight and input lanes). Out-of-range taps are skipped,
-/// matching the seed loop tap-for-tap.
+/// matching the seed loop tap-for-tap: each channel starts from its bias
+/// and adds the in-range taps in (ky, kx) order, in a register. An optional
+/// fused `tail` (Relu or BatchNorm over the c channels) is applied before
+/// the store, bit-exact vs running it as its own pass.
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
-                   float* out);
+                   float* out, const GemmTail& tail = {});
 
 // ---- int8 execution path ----------------------------------------------------
 //
@@ -149,13 +159,19 @@ void requantize_s8(const std::int32_t* acc, std::int64_t M, std::int64_t N, cons
 void dequantize_f32(const std::int32_t* acc, std::int64_t M, std::int64_t N, const float* bias,
                     float scale, float relu_cap, float* dst);
 
-/// Test hook: cap the int8 kernel dispatch tier — 0 = scalar/SSE2 only,
-/// 1 = + AVX2, 2 = + AVX-512BW; values above the host's capability are
-/// still clamped by the runtime CPUID checks. Negative (the default)
-/// restores full auto-dispatch. Exists so one wide-ISA machine can assert
-/// every tier produces bit-identical results (tests/nn_int8_test.cpp);
-/// production code never calls it.
-void set_int8_dispatch_cap(int cap);
+/// Test hook: cap the kernel dispatch tier of both precisions — 0 =
+/// scalar/SSE2 only, 1 = + AVX2, 2 = + AVX-512 (F and BW); values above the
+/// host's capability are still clamped by the runtime CPUID checks.
+/// Negative (the default) restores full auto-dispatch. Exists so one
+/// wide-ISA machine can assert every tier produces bit-identical results
+/// (tests/nn_engine_test.cpp, tests/nn_int8_test.cpp); production code
+/// never calls it.
+void set_kernel_dispatch_cap(int cap);
+
+/// The tier the kernels dispatch to right now, after CPUID and the test
+/// cap: 0 = SSE2 (or portable), 1 = AVX2, 2 = AVX-512. Benches record it so
+/// a measurement says which kernels produced it.
+[[nodiscard]] int kernel_dispatch_tier();
 
 /// f32 -> int8 activation staging: q = clamp(round_away(v / scale) +
 /// zero_point, -128, 127), vectorized (the quantized engine's input hop).

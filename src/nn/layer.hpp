@@ -74,9 +74,10 @@ class Layer {
     return false;
   }
 
-  /// True for layers whose `forward_into` lowers onto `gemm_blocked` and
-  /// can absorb a `GemmTail` in the epilogue (Conv2D, Conv1D,
-  /// FullyConnected). Such layers must also override `forward_into_fused`.
+  /// True for layers whose kernel can absorb a `GemmTail` in its epilogue:
+  /// the `gemm_blocked` lowerings (Conv2D, Conv1D, FullyConnected) and the
+  /// direct depthwise kernel (DepthwiseConv2D). Such layers must also
+  /// override `forward_into_fused`.
   [[nodiscard]] virtual bool supports_gemm_tail_fusion() const { return false; }
 
   /// Fused execution: `forward_into` with `tail` applied inside the GEMM

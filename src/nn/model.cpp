@@ -34,8 +34,9 @@ void Model::add(LayerPtr layer) {
   max_scratch_elems_ = std::max(max_scratch_elems_, layer->scratch_elems(current_output_shape_));
   layers_.push_back(std::move(layer));
   fuse_with_next_.push_back(false);
-  // Fusion plan: a GEMM-lowered producer absorbs an immediately following
-  // elementwise tail into its epilogue (one ping-pong hop saved, bit-exact).
+  // Fusion plan: a fusable producer (GEMM-lowered or depthwise) absorbs an
+  // immediately following elementwise tail into its epilogue (one
+  // ping-pong hop saved, bit-exact).
   const std::size_t j = layers_.size() - 1;
   if (j > 0 && layers_[j - 1]->supports_gemm_tail_fusion()) {
     GemmTail tail;

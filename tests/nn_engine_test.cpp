@@ -4,10 +4,12 @@
 // (single + batched), workspace reuse across varying batch sizes, zero-copy
 // batch spans, one-workspace-per-thread determinism under SweepRunner at
 // 1/2/8 threads, the interposer-verified zero-allocation steady state, and
-// the hub's execute-and-meter sessions.
+// the hub's execute-and-meter sessions. Forced dispatch caps compare every
+// f32 kernel tier (SSE2, AVX2, AVX-512) bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -90,6 +92,123 @@ TEST(GemmBlocked, MatchesNaiveBitExactAcrossShapes) {
     gemm_blocked(c.M, c.N, c.K, A.data(), B.data(), bp, got.data());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i], got[i]) << "M=" << c.M << " N=" << c.N << " K=" << c.K << " i=" << i;
+    }
+  }
+}
+
+/// Restores full auto-dispatch when a tier test exits, also on a failed
+/// ASSERT, so later tests never run under a forced cap.
+struct DispatchCapGuard {
+  DispatchCapGuard() = default;
+  DispatchCapGuard(const DispatchCapGuard&) = delete;
+  DispatchCapGuard& operator=(const DispatchCapGuard&) = delete;
+  ~DispatchCapGuard() { set_kernel_dispatch_cap(-1); }
+};
+
+/// The f32 tails a tier test sweeps: none, relu, relu6 and a per-column
+/// batchnorm over `scale`/`shift`.
+std::vector<GemmTail> sweep_tails(const std::vector<float>& scale,
+                                  const std::vector<float>& shift) {
+  std::vector<GemmTail> tails(4);
+  tails[1].kind = GemmTail::Kind::kRelu;
+  tails[2].kind = GemmTail::Kind::kRelu;
+  tails[2].cap = 6.0f;
+  tails[3].kind = GemmTail::Kind::kBatchNorm;
+  tails[3].scale = scale.data();
+  tails[3].shift = shift.data();
+  return tails;
+}
+
+TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
+  // Every f32 tier (SSE2, AVX2 4x16, AVX-512 4x32) runs each lane through
+  // the scalar loop's mul-then-add sequence, so all caps must agree bit for
+  // bit. The shapes straddle every column width and remainder, M below and
+  // above one row tile, and K across the kKc block boundary; on a narrower
+  // host the higher caps clamp to the hardware.
+  DispatchCapGuard guard;
+  const std::int64_t kMaxM = 9, kMaxN = 70, kMaxK = 600;
+  std::vector<float> A(static_cast<std::size_t>(kMaxM * kMaxK)),
+      B(static_cast<std::size_t>(kMaxK * kMaxN)), bias(static_cast<std::size_t>(kMaxN)),
+      scale(bias.size()), shift(bias.size());
+  for (std::size_t i = 0; i < A.size(); ++i) A[i] = std::sin(static_cast<double>(i) * 0.37);
+  for (std::size_t i = 0; i < B.size(); ++i) B[i] = std::cos(static_cast<double>(i) * 0.23);
+  for (std::size_t i = 0; i < bias.size(); ++i) {
+    bias[i] = 0.1f * static_cast<float>(i) - 3.0f;
+    scale[i] = 0.5f + 0.01f * static_cast<float>(i);
+    shift[i] = -0.2f + 0.02f * static_cast<float>(i);
+  }
+  const std::vector<GemmTail> tails = sweep_tails(scale, shift);
+  std::vector<float> want(static_cast<std::size_t>(kMaxM * kMaxN)), got(want.size());
+  for (std::int64_t M = 1; M <= kMaxM; ++M) {
+    for (const std::int64_t N : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 70}) {
+      for (const std::int64_t K : {1, 40, 256, 257, 600}) {
+        for (std::size_t t = 0; t < tails.size(); ++t) {
+          const std::size_t bytes = static_cast<std::size_t>(M * N) * sizeof(float);
+          set_kernel_dispatch_cap(0);
+          gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), want.data(), tails[t]);
+          for (const int cap : {1, 2, -1}) {
+            set_kernel_dispatch_cap(cap);
+            gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), got.data(), tails[t]);
+            ASSERT_EQ(std::memcmp(want.data(), got.data(), bytes), 0)
+                << "cap " << cap << " M=" << M << " N=" << N << " K=" << K << " tail " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DwConv, DispatchTiersBitIdenticalUnderForcedCaps) {
+  // The depthwise tiers (SSE2 4-lane, AVX2 8-lane, AVX-512 16-lane blocks,
+  // scalar rest) keep each channel's bias-then-taps order, so every cap
+  // agrees bit for bit, with and without a fused tail. Cap 0 with a fused
+  // tail must also equal the unfused pass followed by the tail's scalar
+  // expression (what a separate Relu/BatchNorm layer computes).
+  DispatchCapGuard guard;
+  const int batch = 2, ih = 7, iw = 6, k = 3, pad = 1;
+  for (const int c : {3, 16, 19, 64}) {
+    std::vector<float> in(static_cast<std::size_t>(batch * ih * iw * c)),
+        w(static_cast<std::size_t>(k * k * c)), bias(static_cast<std::size_t>(c)),
+        scale(bias.size()), shift(bias.size());
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(static_cast<double>(i) * 0.41);
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = std::cos(static_cast<double>(i) * 0.29);
+    for (std::size_t i = 0; i < bias.size(); ++i) {
+      bias[i] = 0.05f * static_cast<float>(i) - 0.5f;
+      scale[i] = 0.7f + 0.01f * static_cast<float>(i);
+      shift[i] = 0.1f - 0.03f * static_cast<float>(i);
+    }
+    const std::vector<GemmTail> tails = sweep_tails(scale, shift);
+    for (const int stride : {1, 2}) {
+      const int oh = (ih + 2 * pad - k) / stride + 1, ow = (iw + 2 * pad - k) / stride + 1;
+      const std::size_t n = static_cast<std::size_t>(batch * oh * ow * c);
+      std::vector<float> plain(n), want(n), got(n);
+      set_kernel_dispatch_cap(0);
+      dwconv2d_nhwc(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), w.data(),
+                    bias.data(), plain.data());
+      for (std::size_t t = 0; t < tails.size(); ++t) {
+        const GemmTail& tail = tails[t];
+        set_kernel_dispatch_cap(0);
+        dwconv2d_nhwc(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), w.data(),
+                      bias.data(), want.data(), tail);
+        for (std::size_t i = 0; i < n; ++i) {
+          float v = plain[i];
+          if (tail.kind == GemmTail::Kind::kRelu) {
+            v = std::max(0.0f, v);
+            if (tail.cap > 0.0f) v = std::min(tail.cap, v);
+          } else if (tail.kind == GemmTail::Kind::kBatchNorm) {
+            v = tail.scale[i % static_cast<std::size_t>(c)] * v +
+                tail.shift[i % static_cast<std::size_t>(c)];
+          }
+          ASSERT_EQ(want[i], v) << "c " << c << " stride " << stride << " tail " << t << " i " << i;
+        }
+        for (const int cap : {1, 2, -1}) {
+          set_kernel_dispatch_cap(cap);
+          dwconv2d_nhwc(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), w.data(),
+                        bias.data(), got.data(), tail);
+          ASSERT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(float)), 0)
+              << "cap " << cap << " c " << c << " stride " << stride << " tail " << t;
+        }
+      }
     }
   }
 }
@@ -221,6 +340,7 @@ TEST(LoweredEngine, ZooModelsBitExactSingleInference) {
 }
 
 TEST(LoweredEngine, ZooModelsBitExactBatched) {
+  DispatchCapGuard guard;
   for (int idx = 0; idx < 3; ++idx) {
     const Model m = zoo_model(idx);
     for (const int batch : {2, 4, 5}) {
@@ -229,11 +349,16 @@ TEST(LoweredEngine, ZooModelsBitExactBatched) {
       const Tensor stacked = stack_batch(inputs);
       const Tensor ref = m.run_batched_reference(stacked);  // seed batched loops
       EXPECT_EQ(m.run_batched(stacked).max_abs_diff(ref), 0.0) << m.name() << " batch " << batch;
-      Workspace ws;
-      const ConstSpan out = m.run_into(ws, stacked.data(), batch);
-      ASSERT_EQ(out.size, ref.size()) << m.name() << " batch " << batch;
-      EXPECT_EQ(std::memcmp(out.data, ref.data(), ref.size() * sizeof(float)), 0)
-          << m.name() << " batch " << batch;
+      // The whole engine (wide GEMM tiles, depthwise blocks, fused tails)
+      // must give the seed loops' bits at every dispatch tier.
+      for (const int cap : {0, 1, 2, -1}) {
+        set_kernel_dispatch_cap(cap);
+        Workspace ws;
+        const ConstSpan out = m.run_into(ws, stacked.data(), batch);
+        ASSERT_EQ(out.size, ref.size()) << m.name() << " batch " << batch;
+        EXPECT_EQ(std::memcmp(out.data, ref.data(), ref.size() * sizeof(float)), 0)
+            << m.name() << " batch " << batch << " cap " << cap;
+      }
       // Vector overload stages samples directly into the workspace.
       const std::vector<Tensor> outs = m.run_batched(inputs);
       ASSERT_EQ(outs.size(), static_cast<std::size_t>(batch));

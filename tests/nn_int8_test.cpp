@@ -162,7 +162,7 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
   std::vector<std::vector<std::int32_t>> raw;
   std::vector<std::vector<std::int8_t>> quant;
   for (const int cap : {0, 1, 2, -1}) {
-    set_int8_dispatch_cap(cap);
+    set_kernel_dispatch_cap(cap);
     raw.emplace_back(static_cast<std::size_t>(M * N));
     gemm_s8(M, N, K, A.data(), 2, bop.data(), raw.back().data());
     quant.emplace_back(static_cast<std::size_t>(M * N));
@@ -176,10 +176,62 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
     epi.dst = quant.back().data();
     gemm_s8(M, N, K, A.data(), 2, bop.data(), scratch.data(), &epi);
   }
-  set_int8_dispatch_cap(-1);
+  set_kernel_dispatch_cap(-1);
   for (std::size_t t = 1; t < raw.size(); ++t) {
     EXPECT_EQ(raw[0], raw[t]) << "tier cap index " << t;
     EXPECT_EQ(quant[0], quant[t]) << "tier cap index " << t;
+  }
+}
+
+TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
+  // The int8 depthwise tiers (SSE2 8-lane, AVX2 16-lane, AVX-512 32/16-lane
+  // blocks) hand their channel remainder to the scalar epilogue. Channel
+  // counts 3, 19 and 40 leave a remainder at every tier, and that scalar
+  // `bias + scale * acc` must round twice like the vector lanes do (no FMA
+  // contraction under the wide tiers' target attributes). Both output
+  // targets, both strides, every cap.
+  const int batch = 2, ih = 6, iw = 6, k = 3, pad = 1;
+  for (const int c : {3, 19, 40}) {
+    std::vector<std::int8_t> in(static_cast<std::size_t>(batch * ih * iw * c)),
+        w(static_cast<std::size_t>(k * k * c));
+    std::vector<std::int32_t> zw(static_cast<std::size_t>(c));
+    std::vector<float> bias(static_cast<std::size_t>(c)), scales(bias.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = static_cast<std::int8_t>((static_cast<int>(i) * 37 + 5) % 251 - 125);
+    }
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = static_cast<std::int8_t>((static_cast<int>(i) * 53 + 9) % 247 - 123);
+    }
+    for (std::size_t i = 0; i < bias.size(); ++i) {
+      zw[i] = static_cast<std::int32_t>(i % 5) - 2;
+      bias[i] = 0.013f * static_cast<float>(i) - 0.21f;
+      scales[i] = 1.7e-4f + 3.1e-6f * static_cast<float>(i);
+    }
+    std::vector<std::int16_t> w16(w.size());
+    widen_dw_weights_s8(w.data(), k * k, c, zw.data(), w16.data());
+    for (const int stride : {1, 2}) {
+      const int oh = (ih + 2 * pad - k) / stride + 1, ow = (iw + 2 * pad - k) / stride + 1;
+      const std::size_t n = static_cast<std::size_t>(batch * oh * ow * c);
+      std::vector<std::vector<std::int8_t>> quant;
+      std::vector<std::vector<float>> real;
+      for (const int cap : {0, 1, 2, -1}) {
+        set_kernel_dispatch_cap(cap);
+        quant.emplace_back(n);
+        dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
+                    bias.data(), scales.data(), /*relu_cap=*/0.0f, /*out_scale=*/0.02f,
+                    /*out_zero=*/-7, quant.back().data(), nullptr);
+        real.emplace_back(n);
+        dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
+                    bias.data(), scales.data(), /*relu_cap=*/-1.0f, /*out_scale=*/1.0f,
+                    /*out_zero=*/0, nullptr, real.back().data());
+      }
+      set_kernel_dispatch_cap(-1);
+      for (std::size_t t = 1; t < quant.size(); ++t) {
+        EXPECT_EQ(quant[0], quant[t]) << "c " << c << " stride " << stride << " cap index " << t;
+        EXPECT_EQ(std::memcmp(real[0].data(), real[t].data(), n * sizeof(float)), 0)
+            << "c " << c << " stride " << stride << " cap index " << t;
+      }
+    }
   }
 }
 
