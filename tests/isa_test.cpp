@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -345,6 +347,153 @@ TEST(Adpcm, TracksStepChanges) {
   const auto loud = tone(200.0, 16000.0, 0.1, 0.9);
   pcm.insert(pcm.end(), loud.begin(), loud.end());
   EXPECT_GT(AdpcmCodec::reconstruction_snr_db(pcm), 15.0);
+}
+
+// ---- ADPCM byte-identity oracle --------------------------------------------------------
+//
+// The codec's seed per-sample state machine, branch by branch. The library
+// must emit the same nibbles and header and decode the same PCM, byte for
+// byte; `AdpcmReach` records which saturating states a signal drove it into.
+
+constexpr std::array<int, 89> kRefStepTable = {
+    7,     8,     9,     10,    11,    12,    13,    14,    16,    17,    19,    21,    23,
+    25,    28,    31,    34,    37,    41,    45,    50,    55,    60,    66,    73,    80,
+    88,    97,    107,   118,   130,   143,   157,   173,   190,   209,   230,   253,   279,
+    307,   337,   371,   408,   449,   494,   544,   598,   658,   724,   796,   876,   963,
+    1060,  1166,  1282,  1411,  1552,  1707,  1878,  2066,  2272,  2499,  2749,  3024,  3327,
+    3660,  4026,  4428,  4871,  5358,  5894,  6484,  7132,  7845,  8630,  9493,  10442, 11487,
+    12635, 13899, 15289, 16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767};
+constexpr std::array<int, 16> kRefIndexTable = {-1, -1, -1, -1, 2, 4, 6, 8,
+                                                -1, -1, -1, -1, 2, 4, 6, 8};
+
+struct AdpcmReach {
+  bool predictor_clamped = false;
+  bool step_at_top = false;     ///< step index reached 88
+  bool step_at_bottom = false;  ///< step index sat at 0 after a step
+};
+
+int reference_adpcm_decode_sample(std::uint8_t nibble, int& predictor, int& index,
+                                  AdpcmReach* reach = nullptr) {
+  const int step = kRefStepTable[static_cast<std::size_t>(index)];
+  int diffq = step >> 3;
+  if (nibble & 4) diffq += step;
+  if (nibble & 2) diffq += step >> 1;
+  if (nibble & 1) diffq += step >> 2;
+  predictor += (nibble & 8) ? -diffq : diffq;
+  const int clamped = std::clamp(predictor, -32768, 32767);
+  index = std::clamp(index + kRefIndexTable[nibble], 0, 88);
+  if (reach != nullptr) {
+    reach->predictor_clamped |= clamped != predictor;
+    reach->step_at_top |= index == 88;
+    reach->step_at_bottom |= index == 0;
+  }
+  predictor = clamped;
+  return predictor;
+}
+
+std::uint8_t reference_adpcm_encode_sample(int sample, int& predictor, int& index,
+                                           AdpcmReach* reach) {
+  const int step = kRefStepTable[static_cast<std::size_t>(index)];
+  int diff = sample - predictor;
+  std::uint8_t nibble = 0;
+  if (diff < 0) {
+    nibble = 8;
+    diff = -diff;
+  }
+  int temp_step = step;
+  if (diff >= temp_step) {
+    nibble |= 4;
+    diff -= temp_step;
+  }
+  temp_step >>= 1;
+  if (diff >= temp_step) {
+    nibble |= 2;
+    diff -= temp_step;
+  }
+  temp_step >>= 1;
+  if (diff >= temp_step) nibble |= 1;
+  reference_adpcm_decode_sample(nibble, predictor, index, reach);
+  return nibble;
+}
+
+AdpcmEncoded reference_adpcm_encode(const std::vector<std::int16_t>& pcm,
+                                    AdpcmReach* reach = nullptr) {
+  AdpcmEncoded out;
+  out.sample_count = pcm.size();
+  if (pcm.empty()) return out;
+  int predictor = pcm[0];
+  int index = 0;
+  out.predictor = pcm[0];
+  std::uint8_t pending = 0;
+  bool have_pending = false;
+  for (std::size_t i = 1; i < pcm.size(); ++i) {
+    const std::uint8_t nib = reference_adpcm_encode_sample(pcm[i], predictor, index, reach);
+    if (!have_pending) {
+      pending = nib;
+      have_pending = true;
+    } else {
+      out.nibbles.push_back(static_cast<std::uint8_t>(pending | (nib << 4)));
+      have_pending = false;
+    }
+  }
+  if (have_pending) out.nibbles.push_back(pending);
+  return out;
+}
+
+std::vector<std::int16_t> reference_adpcm_decode(const AdpcmEncoded& encoded) {
+  std::vector<std::int16_t> pcm;
+  if (encoded.sample_count == 0) return pcm;
+  int predictor = encoded.predictor;
+  int index = encoded.step_index;
+  pcm.push_back(encoded.predictor);
+  for (const std::uint8_t byte : encoded.nibbles) {
+    for (int half = 0; half < 2 && pcm.size() < encoded.sample_count; ++half) {
+      const std::uint8_t nib = half == 0 ? (byte & 0x0f) : (byte >> 4);
+      pcm.push_back(static_cast<std::int16_t>(reference_adpcm_decode_sample(nib, predictor, index)));
+    }
+  }
+  return pcm;
+}
+
+/// Silence, a full-scale square wave (drives the predictor into its
+/// clamps), +-32767 noise (pins the step index at 88) and a slow sine of a
+/// few LSBs (pins it at 0), each `n` samples long.
+std::vector<std::pair<std::string, std::vector<std::int16_t>>> adpcm_oracle_signals(
+    std::size_t n) {
+  std::vector<std::pair<std::string, std::vector<std::int16_t>>> out;
+  out.emplace_back("silence", std::vector<std::int16_t>(n, 0));
+  std::vector<std::int16_t> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = (i / 40) % 2 == 0 ? 32767 : -32768;
+  out.emplace_back("square", x);
+  sim::Rng rng(41);
+  for (auto& v : x) v = static_cast<std::int16_t>(rng.uniform_int(-32767, 32767));
+  out.emplace_back("noise", x);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = static_cast<std::int16_t>(std::lround(
+        3.0 * std::sin(2.0 * M_PI * 2.0 * static_cast<double>(i) / 16000.0)));
+  }
+  out.emplace_back("slow_sine", x);
+  return out;
+}
+
+TEST(AdpcmOracle, EncodeAndDecodeByteIdenticalToSeedLoops) {
+  std::map<std::string, AdpcmReach> reached;
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 16000u, 16001u}) {
+    for (const auto& [name, pcm] : adpcm_oracle_signals(n)) {
+      const AdpcmEncoded want = reference_adpcm_encode(pcm, &reached[name]);
+      const AdpcmEncoded got = AdpcmCodec::encode(pcm);
+      EXPECT_EQ(got.sample_count, want.sample_count) << name << " n=" << n;
+      EXPECT_EQ(got.predictor, want.predictor) << name << " n=" << n;
+      EXPECT_EQ(got.step_index, want.step_index) << name << " n=" << n;
+      EXPECT_EQ(got.nibbles, want.nibbles) << name << " n=" << n;
+      EXPECT_EQ(AdpcmCodec::decode(want), reference_adpcm_decode(want)) << name << " n=" << n;
+    }
+  }
+  // The signals reach the saturating states they are there for.
+  EXPECT_TRUE(reached["square"].predictor_clamped);
+  EXPECT_TRUE(reached["noise"].step_at_top);
+  EXPECT_TRUE(reached["slow_sine"].step_at_bottom);
+  EXPECT_FALSE(reached["slow_sine"].step_at_top);
 }
 
 // ---- Biopotential codec -------------------------------------------------------------
