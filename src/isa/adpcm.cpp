@@ -22,50 +22,37 @@ constexpr std::array<int, 89> kStepTable = {
 constexpr std::array<int, 16> kIndexTable = {-1, -1, -1, -1, 2, 4, 6, 8,
                                              -1, -1, -1, -1, 2, 4, 6, 8};
 
-/// Encode one sample against the predictor state; returns the nibble.
-std::uint8_t encode_sample(int sample, int& predictor, int& index) {
+// Both state machines are written with selects instead of branches: a
+// nibble bit is a comparison, and "add x if bit b" is "add x & -b". The
+// arithmetic is exact integer, so the bytes equal the branchy seed loops'
+// (tests/isa_test.cpp keeps them as an oracle).
+
+/// Apply one nibble to the decoder state; returns the new predictor.
+int decode_sample(unsigned nibble, int& predictor, int& index) {
   const int step = kStepTable[static_cast<std::size_t>(index)];
-  int diff = sample - predictor;
-  std::uint8_t nibble = 0;
-  if (diff < 0) {
-    nibble = 8;
-    diff = -diff;
-  }
-  int temp_step = step;
-  if (diff >= temp_step) {
-    nibble |= 4;
-    diff -= temp_step;
-  }
-  temp_step >>= 1;
-  if (diff >= temp_step) {
-    nibble |= 2;
-    diff -= temp_step;
-  }
-  temp_step >>= 1;
-  if (diff >= temp_step) nibble |= 1;
-
-  // Reconstruct exactly as the decoder will.
-  int diffq = step >> 3;
-  if (nibble & 4) diffq += step;
-  if (nibble & 2) diffq += step >> 1;
-  if (nibble & 1) diffq += step >> 2;
-  predictor += (nibble & 8) ? -diffq : diffq;
-  predictor = std::clamp(predictor, -32768, 32767);
-
-  index = std::clamp(index + kIndexTable[nibble], 0, 88);
-  return nibble;
-}
-
-int decode_sample(std::uint8_t nibble, int& predictor, int& index) {
-  const int step = kStepTable[static_cast<std::size_t>(index)];
-  int diffq = step >> 3;
-  if (nibble & 4) diffq += step;
-  if (nibble & 2) diffq += step >> 1;
-  if (nibble & 1) diffq += step >> 2;
-  predictor += (nibble & 8) ? -diffq : diffq;
-  predictor = std::clamp(predictor, -32768, 32767);
+  const int b4 = (nibble >> 2) & 1, b2 = (nibble >> 1) & 1, b1 = nibble & 1;
+  const int diffq = (step >> 3) + (step & -b4) + ((step >> 1) & -b2) + ((step >> 2) & -b1);
+  const int neg = -static_cast<int>(nibble >> 3);  // 0 or -1
+  predictor = std::clamp(predictor + ((diffq ^ neg) - neg), -32768, 32767);
   index = std::clamp(index + kIndexTable[nibble], 0, 88);
   return predictor;
+}
+
+/// Encode one sample against the predictor state; returns the nibble and
+/// advances the state exactly as the decoder will.
+unsigned encode_sample(int sample, int& predictor, int& index) {
+  const int step = kStepTable[static_cast<std::size_t>(index)];
+  int diff = sample - predictor;
+  const int neg = -static_cast<int>(diff < 0);
+  diff = (diff ^ neg) - neg;
+  const int b4 = diff >= step;
+  diff -= step & -b4;
+  const int b2 = diff >= (step >> 1);
+  diff -= (step >> 1) & -b2;
+  const int b1 = diff >= (step >> 2);
+  const auto nibble = static_cast<unsigned>((neg & 8) | (b4 << 2) | (b2 << 1) | b1);
+  decode_sample(nibble, predictor, index);
+  return nibble;
 }
 
 }  // namespace
@@ -80,46 +67,43 @@ AdpcmEncoded AdpcmCodec::encode(const std::vector<std::int16_t>& pcm) {
   out.predictor = pcm[0];
   out.step_index = 0;
 
-  out.nibbles.reserve((pcm.size() + 1) / 2);
-  std::uint8_t pending = 0;
-  bool have_pending = false;
-  // First sample is carried in the header (predictor); encode from the 2nd.
-  for (std::size_t i = 1; i < pcm.size(); ++i) {
-    const std::uint8_t nib = encode_sample(pcm[i], predictor, index);
-    if (!have_pending) {
-      pending = nib;
-      have_pending = true;
-    } else {
-      out.nibbles.push_back(static_cast<std::uint8_t>(pending | (nib << 4)));
-      have_pending = false;
-    }
+  // The first sample is carried in the header (predictor); the other n - 1
+  // pack two per byte, low nibble first, into n / 2 bytes.
+  out.nibbles.resize(pcm.size() / 2);
+  std::uint8_t* dst = out.nibbles.data();
+  std::size_t i = 1;
+  for (; i + 1 < pcm.size(); i += 2) {
+    const unsigned lo = encode_sample(pcm[i], predictor, index);
+    const unsigned hi = encode_sample(pcm[i + 1], predictor, index);
+    *dst++ = static_cast<std::uint8_t>(lo | (hi << 4));
   }
-  if (have_pending) out.nibbles.push_back(pending);
+  if (i < pcm.size()) *dst = static_cast<std::uint8_t>(encode_sample(pcm[i], predictor, index));
   return out;
 }
 
 std::vector<std::int16_t> AdpcmCodec::decode(const AdpcmEncoded& encoded) {
   IOB_EXPECTS(encoded.step_index < kStepTable.size(), "adpcm step index out of range");
-  // The header sample plus two per nibble byte: checked before the reserve,
-  // so a forged sample_count cannot size the buffer.
-  IOB_EXPECTS(2 * encoded.nibbles.size() + 1 >= encoded.sample_count,
-              "adpcm nibbles too short for sample count");
-  std::vector<std::int16_t> pcm;
-  pcm.reserve(encoded.sample_count);
+  // Exactly the n / 2 bytes encode() emits: checked before the resize, so
+  // neither a forged sample_count nor trailing bytes can size the work.
+  IOB_EXPECTS(encoded.nibbles.size() == encoded.sample_count / 2,
+              "adpcm nibble count does not match sample count");
+  std::vector<std::int16_t> pcm(encoded.sample_count);
   if (encoded.sample_count == 0) return pcm;
 
   int predictor = encoded.predictor;
   int index = encoded.step_index;
-  pcm.push_back(encoded.predictor);
-
-  std::size_t produced = 1;
-  for (const std::uint8_t byte : encoded.nibbles) {
-    for (int half = 0; half < 2 && produced < encoded.sample_count; ++half, ++produced) {
-      const std::uint8_t nib = half == 0 ? (byte & 0x0f) : (byte >> 4);
-      pcm.push_back(static_cast<std::int16_t>(decode_sample(nib, predictor, index)));
-    }
+  std::int16_t* dst = pcm.data();
+  *dst++ = encoded.predictor;
+  // An even sample count leaves the last byte's high nibble unused.
+  const std::size_t full = (encoded.sample_count - 1) / 2;
+  for (std::size_t b = 0; b < full; ++b) {
+    const std::uint8_t byte = encoded.nibbles[b];
+    *dst++ = static_cast<std::int16_t>(decode_sample(byte & 0x0fu, predictor, index));
+    *dst++ = static_cast<std::int16_t>(decode_sample(byte >> 4, predictor, index));
   }
-  IOB_ENSURES(pcm.size() == encoded.sample_count, "adpcm decode produced wrong sample count");
+  if (full < encoded.nibbles.size()) {
+    *dst = static_cast<std::int16_t>(decode_sample(encoded.nibbles[full] & 0x0fu, predictor, index));
+  }
   return pcm;
 }
 

@@ -24,7 +24,8 @@ class AdpcmCodec {
  public:
   [[nodiscard]] static AdpcmEncoded encode(const std::vector<std::int16_t>& pcm);
   /// Throws std::invalid_argument on a step index past the table (> 88) or
-  /// on fewer nibbles than `sample_count` needs.
+  /// on a nibble vector of any length but the `sample_count / 2` bytes that
+  /// `encode` emits.
   [[nodiscard]] static std::vector<std::int16_t> decode(const AdpcmEncoded& encoded);
 
   /// Reconstruction SNR (dB) over a signal (encode -> decode -> compare).

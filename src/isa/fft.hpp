@@ -24,6 +24,14 @@ class FftPlan {
   /// In-place transform of x[0, size()); the inverse includes 1/N.
   void execute(Complex* x) const;
 
+  /// In-place forward transform of `lanes` signals side by side, for a
+  /// forward plan: element i of lane l is re[i * lanes + l] + j im[i * lanes +
+  /// l]. It reads the same swap list and twiddles as execute() and each lane
+  /// runs execute()'s multiplies and adds in the same order, so every lane
+  /// gets execute()'s bits. `lanes` is 4 (needs AVX2) or 8 (needs AVX-512F);
+  /// the caller checks the CPU, e.g. through nn::kernel_dispatch_tier().
+  void execute_lanes(double* re, double* im, std::size_t lanes) const;
+
  private:
   std::size_t n_;
   bool inverse_;

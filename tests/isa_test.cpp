@@ -27,6 +27,7 @@
 #include "isa/huffman.hpp"
 #include "isa/metrics.hpp"
 #include "isa/mjpeg.hpp"
+#include "nn/gemm.hpp"
 #include "sim/rng.hpp"
 #include "workload/audio.hpp"
 
@@ -339,6 +340,25 @@ TEST(Adpcm, DecodeRejectsNibblesShortOfSampleCount) {
   // A forged count must be rejected before it sizes the output buffer.
   enc.sample_count = std::numeric_limits<std::size_t>::max() / 4;
   EXPECT_THROW(static_cast<void>(AdpcmCodec::decode(enc)), std::invalid_argument);
+}
+
+TEST(Adpcm, DecodeRejectsTrailingNibbles) {
+  // encode emits exactly sample_count / 2 bytes; any more would make a
+  // forged short stream scan bytes it never decodes.
+  for (const std::size_t n : {1u, 2u, 9u, 10u}) {
+    AdpcmEncoded enc = AdpcmCodec::encode(std::vector<std::int16_t>(n, 1000));
+    ASSERT_EQ(enc.nibbles.size(), n / 2);
+    EXPECT_EQ(AdpcmCodec::decode(enc).size(), n);
+    enc.nibbles.push_back(0);
+    EXPECT_THROW(static_cast<void>(AdpcmCodec::decode(enc)), std::invalid_argument) << n;
+  }
+  AdpcmEncoded forged = AdpcmCodec::encode(std::vector<std::int16_t>(1, 1000));
+  forged.nibbles.assign(1 << 20, 0x77);
+  EXPECT_THROW(static_cast<void>(AdpcmCodec::decode(forged)), std::invalid_argument);
+  AdpcmEncoded empty;
+  EXPECT_TRUE(AdpcmCodec::decode(empty).empty());
+  empty.nibbles.push_back(0);
+  EXPECT_THROW(static_cast<void>(AdpcmCodec::decode(empty)), std::invalid_argument);
 }
 
 TEST(Adpcm, TracksStepChanges) {
@@ -803,14 +823,74 @@ std::vector<std::pair<std::string, std::vector<float>>> oracle_signals(const Mel
   return out;
 }
 
+/// The default front-end and one whose 400-sample frames zero-pad to the
+/// 512-point FFT.
+std::vector<MelConfig> oracle_configs() {
+  MelConfig padded;
+  padded.frame_len = 400;
+  padded.n_mels = 32;
+  return {MelConfig{}, padded};
+}
+
+/// Restores full kernel dispatch when a tier sweep ends, even on failure.
+struct DispatchCapGuard {
+  DispatchCapGuard() = default;
+  DispatchCapGuard(const DispatchCapGuard&) = delete;
+  DispatchCapGuard& operator=(const DispatchCapGuard&) = delete;
+  ~DispatchCapGuard() { nn::set_kernel_dispatch_cap(-1); }
+};
+
 TEST(FeaturesOracle, SpectrogramBitIdenticalToSeedLoops) {
-  const MelConfig cfg;
-  for (const auto& [name, signal] : oracle_signals(cfg)) {
-    const nn::Tensor spec = mfcc_spectrogram(signal, cfg, kOracleFrames);
-    const std::vector<float> want = reference_mfcc_spectrogram(signal, cfg, kOracleFrames);
-    ASSERT_EQ(static_cast<std::size_t>(spec.size()), want.size()) << name;
-    EXPECT_TRUE(same_bits(spec.data(), want.data(), want.size())) << name;
+  // Every dispatch tier (scalar, 4 and 8 frames per lane pass, auto), at
+  // frame counts around each lane block size so every remainder runs.
+  const DispatchCapGuard guard;
+  for (const MelConfig& cfg : oracle_configs()) {
+    for (const auto& [name, signal] : oracle_signals(cfg)) {
+      const std::vector<float> want = reference_mfcc_spectrogram(signal, cfg, kOracleFrames);
+      for (const int cap : {0, 1, 2, -1}) {
+        nn::set_kernel_dispatch_cap(cap);
+        for (const std::size_t frames : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 17u, 49u}) {
+          const nn::Tensor spec = mfcc_spectrogram(signal, cfg, frames);
+          ASSERT_EQ(static_cast<std::size_t>(spec.size()), frames * cfg.n_mfcc) << name;
+          EXPECT_TRUE(same_bits(spec.data(), want.data(), frames * cfg.n_mfcc))
+              << name << " frame_len=" << cfg.frame_len << " cap=" << cap << " frames=" << frames;
+        }
+      }
+    }
   }
+}
+
+TEST(FeaturesOracle, LaneFftBitIdenticalToExecute) {
+  // The lane transform against FftPlan::execute on each lane's signal, at
+  // every size and at each lane width this host can run.
+  sim::Rng rng(34);
+  const int tier = nn::kernel_dispatch_tier();
+  for (const std::size_t lanes : {4u, 8u}) {
+    if (tier < (lanes == 4 ? 1 : 2)) continue;
+    for (std::size_t n = 1; n <= 1024; n <<= 1) {
+      const FftPlan plan(n, false);
+      std::vector<Complex> x(n * lanes);
+      for (auto& v : x) v = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+      std::vector<double> re(n * lanes), im(n * lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t i = 0; i < n; ++i) {
+          re[i * lanes + l] = x[l * n + i].real();
+          im[i * lanes + l] = x[l * n + i].imag();
+        }
+        plan.execute(x.data() + l * n);
+      }
+      plan.execute_lanes(re.data(), im.data(), lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double got[2] = {re[i * lanes + l], im[i * lanes + l]};
+          EXPECT_TRUE(same_bits(got, reinterpret_cast<const double*>(&x[l * n + i]), 2))
+              << "n=" << n << " lanes=" << lanes << " lane=" << l << " i=" << i;
+        }
+      }
+    }
+  }
+  EXPECT_THROW(FftPlan(8, false).execute_lanes(nullptr, nullptr, 2), std::invalid_argument);
+  EXPECT_THROW(FftPlan(8, true).execute_lanes(nullptr, nullptr, 4), std::invalid_argument);
 }
 
 TEST(FeaturesOracle, FrameFunctionsBitIdenticalToSeedLoops) {
@@ -888,24 +968,44 @@ TEST(Features, SpectrogramAllocationsDoNotGrowWithFrameCount) {
     const nn::Tensor spec = mfcc_spectrogram(signal, cfg, frames);
     return alloc_interposer::new_calls.load() - before;
   };
-  EXPECT_EQ(new_calls(1), new_calls(kOracleFrames));
+  // The first call on a thread builds its plan; warm calls allocate only
+  // the output tensor.
+  static_cast<void>(new_calls(1));
+  const std::uint64_t warm = new_calls(1);
+  EXPECT_EQ(warm, new_calls(kOracleFrames));
+  const std::uint64_t before = alloc_interposer::new_calls.load();
+  const nn::Tensor out(nn::Shape{static_cast<int>(kOracleFrames), static_cast<int>(cfg.n_mfcc), 1});
+  EXPECT_LE(warm, alloc_interposer::new_calls.load() - before);
 }
 
 TEST(Features, ConcurrentSpectrogramsMatchTheSerialOne) {
-  // Wearer loops call the front-end from several threads at once; every
-  // call owns its plan, so concurrent results equal the serial one.
-  const MelConfig cfg;
-  const std::vector<float> signal = oracle_signals(cfg).back().second;
-  const nn::Tensor serial = mfcc_spectrogram(signal, cfg, kOracleFrames);
-  std::vector<nn::Tensor> results(4);
+  // Wearer loops call the front-end from several threads at once. Each
+  // thread keeps its own plan, keyed by the whole config: alternating two
+  // configs on every thread rebuilds it each call and must not leak one
+  // config's tables into the other's results.
+  const std::vector<MelConfig> cfgs = oracle_configs();
+  const std::vector<float> signal = oracle_signals(cfgs[0]).back().second;
+  std::vector<nn::Tensor> serial;
+  for (const MelConfig& cfg : cfgs) serial.push_back(mfcc_spectrogram(signal, cfg, kOracleFrames));
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::vector<nn::Tensor>> results(4);
   std::vector<std::thread> threads;
-  for (nn::Tensor& r : results) {
-    threads.emplace_back([&] { r = mfcc_spectrogram(signal, cfg, kOracleFrames); });
+  for (std::vector<nn::Tensor>& r : results) {
+    threads.emplace_back([&] {
+      for (std::size_t i = 0; i < kRounds * cfgs.size(); ++i) {
+        r.push_back(mfcc_spectrogram(signal, cfgs[i % cfgs.size()], kOracleFrames));
+      }
+    });
   }
   for (std::thread& t : threads) t.join();
-  for (const nn::Tensor& r : results) {
-    ASSERT_EQ(r.size(), serial.size());
-    EXPECT_TRUE(same_bits(r.data(), serial.data(), static_cast<std::size_t>(serial.size())));
+  for (const std::vector<nn::Tensor>& r : results) {
+    ASSERT_EQ(r.size(), kRounds * cfgs.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      const nn::Tensor& want = serial[i % cfgs.size()];
+      ASSERT_EQ(r[i].size(), want.size());
+      EXPECT_TRUE(same_bits(r[i].data(), want.data(), static_cast<std::size_t>(want.size())))
+          << "call " << i;
+    }
   }
 }
 
