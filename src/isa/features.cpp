@@ -164,10 +164,11 @@ struct MelPlan {
 };
 
 #if IOB_MFCC_LANES
-// Mel sums acc + (w |X|) |X| and DCT sums acc + mel row per lane, in the
-// scalar loops' order; every product and sum is rounded separately.
+// From the lane magnitudes to the lane DCT sums: mel sums acc + (w |X|) |X|,
+// the scalar log rounded to float, then DCT sums acc + mel row, each in the
+// scalar loops' order with every product and sum rounded separately.
 
-__attribute__((target("avx2"))) void lane_sums_avx2(const MelPlan& p) {
+__attribute__((target("avx2"))) void mel_dct_avx2(MelPlan& p) {
   for (std::size_t m = 0; m < p.mel.size(); ++m) {
     const double* x = p.lane_mag + p.first_bin[m] * 4;
     __m256d acc = _mm256_setzero_pd();
@@ -177,9 +178,9 @@ __attribute__((target("avx2"))) void lane_sums_avx2(const MelPlan& p) {
     }
     _mm256_storeu_pd(p.lane_mel + m * 4, acc);
   }
-}
-
-__attribute__((target("avx2"))) void lane_dct_avx2(const MelPlan& p) {
+  for (std::size_t i = 0; i < p.mel.size() * 4; ++i) {
+    p.lane_mel[i] = static_cast<float>(std::log(p.lane_mel[i] + 1e-10));
+  }
   for (std::size_t k = 0; k < p.dct_scale.size(); ++k) {
     const double* row = p.dct.data() + k * p.mel.size();
     __m256d acc = _mm256_setzero_pd();
@@ -191,7 +192,7 @@ __attribute__((target("avx2"))) void lane_dct_avx2(const MelPlan& p) {
   }
 }
 
-__attribute__((target("avx2,avx512f"))) void lane_sums_avx512(const MelPlan& p) {
+__attribute__((target("avx2,avx512f"))) void mel_dct_avx512(MelPlan& p) {
   for (std::size_t m = 0; m < p.mel.size(); ++m) {
     const double* x = p.lane_mag + p.first_bin[m] * 8;
     __m512d acc = _mm512_setzero_pd();
@@ -201,9 +202,9 @@ __attribute__((target("avx2,avx512f"))) void lane_sums_avx512(const MelPlan& p) 
     }
     _mm512_storeu_pd(p.lane_mel + m * 8, acc);
   }
-}
-
-__attribute__((target("avx2,avx512f"))) void lane_dct_avx512(const MelPlan& p) {
+  for (std::size_t i = 0; i < p.mel.size() * 8; ++i) {
+    p.lane_mel[i] = static_cast<float>(std::log(p.lane_mel[i] + 1e-10));
+  }
   for (std::size_t k = 0; k < p.dct_scale.size(); ++k) {
     const double* row = p.dct.data() + k * p.mel.size();
     __m512d acc = _mm512_setzero_pd();
@@ -231,18 +232,9 @@ void MelPlan::mfcc_lanes(const float* first, std::size_t hop, std::size_t lanes,
     lane_mag[i] = std::abs(Complex(lane_re[i], lane_im[i]));
   }
   if (L == 8) {
-    lane_sums_avx512(*this);
+    mel_dct_avx512(*this);
   } else {
-    lane_sums_avx2(*this);
-  }
-  // The log-mel energy is a float, widened exactly for the DCT sums.
-  for (std::size_t i = 0; i < mel.size() * L; ++i) {
-    lane_mel[i] = static_cast<float>(std::log(lane_mel[i] + 1e-10));
-  }
-  if (L == 8) {
-    lane_dct_avx512(*this);
-  } else {
-    lane_dct_avx2(*this);
+    mel_dct_avx2(*this);
   }
   for (std::size_t k = 0; k < dct_scale.size(); ++k) {
     for (std::size_t l = 0; l < L; ++l) {
@@ -271,18 +263,10 @@ MelPlan& thread_plan(const MelConfig& cfg) {
 }
 
 /// Frames per lane pass at the current kernel dispatch tier; 1 = scalar.
+/// The tier is 0 wherever the lane kernels are not compiled.
 std::size_t mfcc_lane_count() {
-#if IOB_MFCC_LANES
-  switch (nn::kernel_dispatch_tier()) {
-    case 2:
-      return 8;
-    case 1:
-      return 4;
-    default:
-      break;
-  }
-#endif
-  return 1;
+  const int tier = nn::kernel_dispatch_tier();
+  return tier >= 2 ? 8 : tier == 1 ? 4 : 1;
 }
 
 }  // namespace
