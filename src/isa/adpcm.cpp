@@ -102,7 +102,8 @@ std::vector<std::int16_t> AdpcmCodec::decode(const AdpcmEncoded& encoded) {
     *dst++ = static_cast<std::int16_t>(decode_sample(byte >> 4, predictor, index));
   }
   if (full < encoded.nibbles.size()) {
-    *dst = static_cast<std::int16_t>(decode_sample(encoded.nibbles[full] & 0x0fu, predictor, index));
+    const unsigned lo = encoded.nibbles[full] & 0x0fu;
+    *dst = static_cast<std::int16_t>(decode_sample(lo, predictor, index));
   }
   return pcm;
 }

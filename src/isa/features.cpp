@@ -243,7 +243,8 @@ void MelPlan::mfcc_lanes(const float* first, std::size_t hop, std::size_t lanes,
   }
 #else
   IOB_EXPECTS(false, "lane MFCC needs an x86-64 build");
-  static_cast<void>(first), static_cast<void>(hop), static_cast<void>(lanes), static_cast<void>(out);
+  static_cast<void>(first), static_cast<void>(hop);
+  static_cast<void>(lanes), static_cast<void>(out);
 #endif
 }
 

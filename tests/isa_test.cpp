@@ -469,7 +469,8 @@ std::vector<std::int16_t> reference_adpcm_decode(const AdpcmEncoded& encoded) {
   for (const std::uint8_t byte : encoded.nibbles) {
     for (int half = 0; half < 2 && pcm.size() < encoded.sample_count; ++half) {
       const std::uint8_t nib = half == 0 ? (byte & 0x0f) : (byte >> 4);
-      pcm.push_back(static_cast<std::int16_t>(reference_adpcm_decode_sample(nib, predictor, index)));
+      const int sample = reference_adpcm_decode_sample(nib, predictor, index);
+      pcm.push_back(static_cast<std::int16_t>(sample));
     }
   }
   return pcm;
