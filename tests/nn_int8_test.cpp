@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -50,6 +51,15 @@ int argmax(const float* d, std::int64_t n) {
   }
   return best;
 }
+
+/// Restores full auto-dispatch when a tier test exits, also on a failed
+/// ASSERT, so later tests never run under a forced cap.
+struct DispatchCapGuard {
+  DispatchCapGuard() = default;
+  DispatchCapGuard(const DispatchCapGuard&) = delete;
+  DispatchCapGuard& operator=(const DispatchCapGuard&) = delete;
+  ~DispatchCapGuard() { set_kernel_dispatch_cap(-1); }
+};
 
 // ---- quantize.hpp round-trip property ---------------------------------------
 
@@ -230,6 +240,128 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
         EXPECT_EQ(quant[0], quant[t]) << "c " << c << " stride " << stride << " cap index " << t;
         EXPECT_EQ(std::memcmp(real[0].data(), real[t].data(), n * sizeof(float)), 0)
             << "c " << c << " stride " << stride << " cap index " << t;
+      }
+    }
+  }
+}
+
+// ---- saturation of out-of-range and non-finite values ----------------------
+
+/// Every cap the tier-sweep tests visit: each forced tier, then auto.
+constexpr int kAllCaps[] = {0, 1, 2, 3, -1};
+
+/// Values an epilogue can meet far outside any calibrated range: a finite
+/// overflow and an infinity of each sign, then NaN.
+const float kWild[] = {1e10f, std::numeric_limits<float>::infinity(), -1e10f,
+                       -std::numeric_limits<float>::infinity(),
+                       std::numeric_limits<float>::quiet_NaN()};
+constexpr std::size_t kWildCount = sizeof(kWild) / sizeof(kWild[0]);
+
+/// The int8 result every tier must give for wild value `v`: positive
+/// overflow saturates to 127, negative to -128, and NaN requantizes to -128
+/// (documented beside `requantize_value`). A fused relu first maps the
+/// negative values to real 0, i.e. the zero point, and passes NaN through.
+std::int8_t wild_expected(float v, bool relu, std::int32_t zp) {
+  if (std::isnan(v)) return -128;
+  if (v > 0.0f) return 127;
+  return relu ? static_cast<std::int8_t>(zp) : std::int8_t{-128};
+}
+
+TEST(Int8Saturation, QuantizeF32SaturatesTowardTheSignAtEveryCap) {
+  DispatchCapGuard guard;
+  // 21 values: two 8-lane vector blocks and a scalar remainder.
+  std::vector<float> src(21);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = kWild[i % kWildCount];
+  for (const int cap : kAllCaps) {
+    set_kernel_dispatch_cap(cap);
+    RecordProperty("tier_at_cap_" + std::to_string(cap), kernel_dispatch_tier());
+    for (const std::int32_t zp : {-5, 3}) {
+      std::vector<std::int8_t> q(src.size());
+      quantize_f32_to_s8(src.data(), static_cast<std::int64_t>(src.size()), 0.02f, zp, q.data());
+      for (std::size_t i = 0; i < src.size(); ++i) {
+        EXPECT_EQ(q[i], wild_expected(src[i], false, zp))
+            << "cap " << cap << " zp " << zp << " elem " << i << " value " << src[i];
+      }
+    }
+  }
+}
+
+TEST(Int8Saturation, GemmAndRequantizeSaturateTowardTheSignAtEveryCap) {
+  DispatchCapGuard guard;
+  // N = 51 reaches the 4x32 and 4x16 zmm tiles, the AVX2 and SSE2 tiles and
+  // the scalar edge; M = 5 adds an edge row. Column n's bias is a wild
+  // value, so every output lane meets one.
+  const std::int64_t M = 5, N = 51, K = 9;
+  std::vector<std::int8_t> A(static_cast<std::size_t>(M * K)), B(static_cast<std::size_t>(K * N));
+  for (std::size_t i = 0; i < A.size(); ++i) A[i] = static_cast<std::int8_t>(i % 17) - 8;
+  for (std::size_t i = 0; i < B.size(); ++i) B[i] = static_cast<std::int8_t>(i % 13) - 6;
+  std::vector<std::int32_t> zw(static_cast<std::size_t>(N), 1);
+  std::vector<float> bias(static_cast<std::size_t>(N));
+  for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = kWild[i % kWildCount];
+  std::vector<std::int16_t> bop(static_cast<std::size_t>(((K + 1) / 2) * N * 2));
+  pack_b_s8(B.data(), K, N, zw.data(), bop.data());
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(M * N));
+  gemm_s8(M, N, K, A.data(), 0, bop.data(), acc.data());
+
+  for (const int cap : kAllCaps) {
+    set_kernel_dispatch_cap(cap);
+    RecordProperty("tier_at_cap_" + std::to_string(cap), kernel_dispatch_tier());
+    for (const float relu_cap : {-1.0f, 0.0f}) {
+      for (const std::int32_t zp : {-5, 3}) {
+        std::vector<std::int8_t> fused(static_cast<std::size_t>(M * N)),
+            standalone(fused.size());
+        std::vector<std::int32_t> scratch(fused.size());
+        QuantEpilogue epi;
+        epi.bias = bias.data();
+        epi.scale = 0.01f;
+        epi.relu_cap = relu_cap;
+        epi.inv_out_scale = 20.0f;
+        epi.out_zero = zp;
+        epi.dst = fused.data();
+        gemm_s8(M, N, K, A.data(), 0, bop.data(), scratch.data(), &epi);
+        requantize_s8(acc.data(), M, N, bias.data(), 0.01f, relu_cap, 0.05f, zp,
+                      standalone.data());
+        for (std::int64_t i = 0; i < M * N; ++i) {
+          const std::int8_t want = wild_expected(bias[static_cast<std::size_t>(i % N)],
+                                                 relu_cap >= 0.0f, zp);
+          EXPECT_EQ(fused[static_cast<std::size_t>(i)], want)
+              << "fused cap " << cap << " relu " << relu_cap << " zp " << zp << " elem " << i;
+          EXPECT_EQ(standalone[static_cast<std::size_t>(i)], want)
+              << "standalone cap " << cap << " relu " << relu_cap << " zp " << zp << " elem "
+              << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Int8Saturation, DwConvSaturatesTowardTheSignAtEveryCap) {
+  DispatchCapGuard guard;
+  // 51 channels: a 32-lane, a 16-lane and a scalar block at the AVX-512
+  // tiers, 16- and 8-lane blocks below. Channel c's bias is a wild value.
+  const int batch = 1, ih = 3, iw = 3, c = 51, k = 3, pad = 1;
+  std::vector<std::int8_t> in(static_cast<std::size_t>(batch * ih * iw * c)),
+      w(static_cast<std::size_t>(k * k * c));
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::int8_t>(i % 23) - 11;
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<std::int8_t>(i % 19) - 9;
+  std::vector<std::int32_t> zw(static_cast<std::size_t>(c), -1);
+  std::vector<float> bias(static_cast<std::size_t>(c)), scales(bias.size(), 0.01f);
+  for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = kWild[i % kWildCount];
+  std::vector<std::int16_t> w16(w.size());
+  widen_dw_weights_s8(w.data(), k * k, c, zw.data(), w16.data());
+  const std::size_t n = static_cast<std::size_t>(batch * ih * iw * c);
+  for (const int cap : kAllCaps) {
+    set_kernel_dispatch_cap(cap);
+    RecordProperty("tier_at_cap_" + std::to_string(cap), kernel_dispatch_tier());
+    for (const float relu_cap : {-1.0f, 0.0f}) {
+      for (const std::int32_t zp : {-5, 3}) {
+        std::vector<std::int8_t> out(n);
+        dwconv2d_s8(batch, ih, iw, c, k, 1, pad, pad, ih, iw, in.data(), 2, w16.data(),
+                    bias.data(), scales.data(), relu_cap, 0.05f, zp, out.data(), nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(out[i], wild_expected(bias[i % c], relu_cap >= 0.0f, zp))
+              << "cap " << cap << " relu " << relu_cap << " zp " << zp << " elem " << i;
+        }
       }
     }
   }
