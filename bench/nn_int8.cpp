@@ -62,7 +62,8 @@ void print_headline() {
                           {"vww", nn::make_vww_micronet()}};
 
   bench::JsonReporter json("nn_int8");
-  // Which kernel tier (0 SSE2, 1 AVX2, 2 AVX-512) produced these numbers.
+  // Which kernel tier (0 SSE2, 1 AVX2, 2 AVX-512, 3 AVX-512 VNNI) produced
+  // these numbers.
   json.add("nn_dispatch_tier", nn::kernel_dispatch_tier());
   common::Table t({"model", "int8 single (inf/s)", "f32 single", "speedup",
                    "int8 batched (inf/s)", "f32 batched", "speedup", "top-1 agree",

@@ -10,15 +10,16 @@
 #include <emmintrin.h>
 #endif
 
-// Runtime-dispatched AVX2 and AVX-512 tiers above the SSE2 baseline, for
-// both precisions. The int8 kernels accumulate exactly in int32, so every
-// width gives the same bits by construction. The f32 kernels keep the seed
-// loops' bits because each lane runs the same separate multiply then add,
-// in the same k order, at any vector width: a wider register only computes
-// more output elements side by side. Only fusing the pair into one FMA
-// (a single rounding instead of two) would change a result, so the build
-// compiles with -ffp-contract=off and the kernels never call an FMA
-// intrinsic.
+// Runtime-dispatched AVX2, AVX-512 and AVX-512 VNNI tiers above the SSE2
+// baseline, for both precisions (VNNI only changes the int8 GEMM). The
+// int8 kernels accumulate exactly in int32, so every width and
+// instruction choice gives the same bits by construction. The f32 kernels
+// keep the seed loops' bits because each lane runs the same separate
+// multiply then add, in the same k order, at any vector width: a wider
+// register only computes more output elements side by side. Only fusing
+// the pair into one FMA (a single rounding instead of two) would change a
+// result, so the build compiles with -ffp-contract=off and the kernels
+// never call an FMA intrinsic.
 #if IOB_GEMM_SSE2 && (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
 #define IOB_GEMM_AVX2_DISPATCH 1
 #include <immintrin.h>
@@ -43,6 +44,11 @@ bool cpu_has_avx512() {
   static const bool v =
       __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
   return v && g_dispatch_cap.load(std::memory_order_relaxed) >= 2;
+}
+
+bool cpu_has_avx512_vnni() {
+  static const bool v = __builtin_cpu_supports("avx512vnni") != 0;
+  return v && cpu_has_avx512() && g_dispatch_cap.load(std::memory_order_relaxed) >= 3;
 }
 #endif
 
@@ -284,6 +290,7 @@ void set_kernel_dispatch_cap(int cap) {
 
 int kernel_dispatch_tier() {
 #if IOB_GEMM_AVX2_DISPATCH
+  if (cpu_has_avx512_vnni()) return 3;
   if (cpu_has_avx512()) return 2;
   if (cpu_has_avx2()) return 1;
 #endif
@@ -586,13 +593,15 @@ constexpr std::int64_t kKcPairs = 128;
 
 /// Shared scalar epilogue core: affine accumulator -> real value, optional
 /// fused relu. Every quantized epilogue (standalone, GEMM-fused, depthwise)
-/// runs these exact expressions, scalar or lane-for-lane in SSE2.
+/// runs these exact expressions, scalar or lane-for-lane in SIMD. The relu
+/// ternaries are `max(0, v)` and `min(cap, v)` in SIMD operand order, so a
+/// NaN passes through them at every tier.
 inline float epilogue_real(std::int32_t acc, const float* bias, std::int64_t n, float scale,
                            float relu_cap) {
   float v = (bias != nullptr ? bias[n] : 0.0f) + scale * static_cast<float>(acc);
   if (relu_cap >= 0.0f) {
-    v = std::max(0.0f, v);
-    if (relu_cap > 0.0f) v = std::min(relu_cap, v);
+    v = 0.0f > v ? 0.0f : v;
+    if (relu_cap > 0.0f) v = relu_cap < v ? relu_cap : v;
   }
   return v;
 }
@@ -685,7 +694,8 @@ void edge_tile_s8(std::int64_t rows, std::int64_t cols, std::int64_t kpc, const 
 #if IOB_GEMM_SSE2
 /// Vector epilogue over one 2x4-lane row (8 int32 accumulators): the exact
 /// lane-wise counterpart of `epilogue_scalar` — cvtepi32_ps / mul / add are
-/// the same IEEE ops, the round is trunc(v + copysign(0.5, v)) in both, and
+/// the same IEEE ops, the max/min pair is `requantize_value`'s clamp to
+/// +-kRequantBound, the round is trunc(v + copysign(0.5, v)) in both, and
 /// packs saturation equals the scalar int8 clamp.
 inline void epi_store_row(const EpiCtx& e, __m128i a0, __m128i a1, std::int64_t row,
                           std::int64_t N) {
@@ -716,8 +726,10 @@ inline void epi_store_row(const EpiCtx& e, __m128i a0, __m128i a1, std::int64_t 
   const __m128 vinv = _mm_set1_ps(e.inv);
   const __m128 vhalf = _mm_set1_ps(0.5f);
   const __m128 vsign = _mm_set1_ps(-0.0f);
-  r0 = _mm_mul_ps(r0, vinv);
-  r1 = _mm_mul_ps(r1, vinv);
+  const __m128 vlo = _mm_set1_ps(-kRequantBound);
+  const __m128 vhi = _mm_set1_ps(kRequantBound);
+  r0 = _mm_min_ps(_mm_max_ps(_mm_mul_ps(r0, vinv), vlo), vhi);
+  r1 = _mm_min_ps(_mm_max_ps(_mm_mul_ps(r1, vinv), vlo), vhi);
   const __m128 h0 = _mm_or_ps(_mm_and_ps(r0, vsign), vhalf);
   const __m128 h1 = _mm_or_ps(_mm_and_ps(r1, vsign), vhalf);
   const __m128i vzp = _mm_set1_epi32(e.zp);
@@ -773,8 +785,9 @@ void micro_tile_s8(std::int64_t kpc, const std::int32_t* apk, const std::int16_t
 constexpr std::int64_t kNr2 = 16;
 
 /// 256-bit epilogue over one row of 16 accumulated columns: the exact
-/// lane-wise counterpart of `epilogue_scalar` (same IEEE ops; the double
-/// packs + permute saturate exactly like the scalar int8 clamp).
+/// lane-wise counterpart of `epilogue_scalar` (same IEEE ops and clamp as
+/// `epi_store_row`; the double packs + permute saturate exactly like the
+/// scalar int8 clamp).
 __attribute__((target("avx2"))) inline void epi_store_row2(const EpiCtx& e, __m256i a0,
                                                            __m256i a1, std::int64_t row,
                                                            std::int64_t N) {
@@ -806,8 +819,10 @@ __attribute__((target("avx2"))) inline void epi_store_row2(const EpiCtx& e, __m2
   const __m256 vinv = _mm256_set1_ps(e.inv);
   const __m256 vhalf = _mm256_set1_ps(0.5f);
   const __m256 vsign = _mm256_set1_ps(-0.0f);
-  r0 = _mm256_mul_ps(r0, vinv);
-  r1 = _mm256_mul_ps(r1, vinv);
+  const __m256 vlo = _mm256_set1_ps(-kRequantBound);
+  const __m256 vhi = _mm256_set1_ps(kRequantBound);
+  r0 = _mm256_min_ps(_mm256_max_ps(_mm256_mul_ps(r0, vinv), vlo), vhi);
+  r1 = _mm256_min_ps(_mm256_max_ps(_mm256_mul_ps(r1, vinv), vlo), vhi);
   const __m256 h0 = _mm256_or_ps(_mm256_and_ps(r0, vsign), vhalf);
   const __m256 h1 = _mm256_or_ps(_mm256_and_ps(r1, vsign), vhalf);
   const __m256i vzp = _mm256_set1_epi32(e.zp);
@@ -934,101 +949,135 @@ __attribute__((target("avx2"))) void dwconv2d_s8_avx2(int batch, int ih, int iw,
   }
 }
 
-// GCC 12's avx512 extract intrinsics trip -Wmaybe-uninitialized on the
-// unused merge operand of the maskless form; the value is never read.
+// GCC 12's avx512 intrinsics trip -Wmaybe-uninitialized on the unused
+// merge operand of the maskless forms; the value is never read.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-/// AVX-512 column width of the int8 microkernel (two zmm accumulators/row).
-constexpr std::int64_t kNr3 = 32;
-
-/// kMr x kNr3 AVX-512BW int8 microkernel: one vpmaddwd retires 32 MACs.
-/// Same operands, same exact integer arithmetic — a pure throughput tier
-/// above the AVX2 kernel for layers with >= 32 output channels. The
-/// epilogue drops to the 256-bit path per ymm half (identical lane ops).
-__attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512(
-    std::int64_t kpc, const std::int32_t* apk, const std::int16_t* b, std::int64_t N,
-    std::int32_t* c, bool first, const EpiCtx* epi) {
-  static_assert(kMr == 4, "micro_tile_s8_avx512 is written for 4 rows");
-  __m512i acc[kMr][2];
-  for (int i = 0; i < kMr; ++i) {
-    if (first) {
-      acc[i][0] = _mm512_setzero_si512();
-      acc[i][1] = _mm512_setzero_si512();
-    } else {
-      acc[i][0] = _mm512_loadu_si512(c + i * N);
-      acc[i][1] = _mm512_loadu_si512(c + i * N + 16);
-    }
+/// 512-bit epilogue over 16 accumulated columns, `acc` lane l holding
+/// column j + l and landing at dst offset di + l: the same lane ops as
+/// `epi_store_row2`, ending in one saturating int32 -> int8 down-convert.
+/// Saturating int32 -> int8 directly equals the narrower tiers' saturating
+/// int32 -> int16 -> int8 pack chain, so every tier writes the same bytes.
+__attribute__((target("avx2,avx512f"))) inline void epi_store16(const EpiCtx& e, __m512i acc,
+                                                                std::int64_t j,
+                                                                std::int64_t di) {
+  const __m512 s =
+      e.col_scales != nullptr ? _mm512_loadu_ps(e.col_scales + j) : _mm512_set1_ps(e.scale);
+  __m512 r = _mm512_mul_ps(s, _mm512_cvtepi32_ps(acc));
+  if (e.bias != nullptr) r = _mm512_add_ps(_mm512_loadu_ps(e.bias + j), r);
+  if (e.relu_cap >= 0.0f) {
+    r = _mm512_max_ps(_mm512_setzero_ps(), r);
+    if (e.relu_cap > 0.0f) r = _mm512_min_ps(_mm512_set1_ps(e.relu_cap), r);
   }
-  for (std::int64_t kp = 0; kp < kpc; ++kp) {
-    const std::int16_t* brow = b + kp * 2 * N;
-    const __m512i b0 = _mm512_loadu_si512(brow);
-    const __m512i b1 = _mm512_loadu_si512(brow + 32);
-    for (int i = 0; i < kMr; ++i) {
-      const __m512i ai = _mm512_set1_epi32(apk[i * kpc + kp]);
-      acc[i][0] = _mm512_add_epi32(acc[i][0], _mm512_madd_epi16(ai, b0));
-      acc[i][1] = _mm512_add_epi32(acc[i][1], _mm512_madd_epi16(ai, b1));
-    }
-  }
-  if (epi != nullptr) {
-    for (int i = 0; i < kMr; ++i) {
-      for (int half = 0; half < 2; ++half) {
-        const EpiCtx lane{epi->bias != nullptr ? epi->bias + half * 16 : nullptr,
-                          epi->col_scales != nullptr ? epi->col_scales + half * 16 : nullptr,
-                          epi->dst != nullptr ? epi->dst + i * N + half * 16 : nullptr,
-                          epi->dstf != nullptr ? epi->dstf + i * N + half * 16 : nullptr,
-                          epi->scale, epi->relu_cap, epi->inv, epi->zp};
-        epi_store_row2(lane, _mm512_castsi512_si256(acc[i][half]),
-                       _mm512_extracti64x4_epi64(acc[i][half], 1), 0, 0);
-      }
-    }
+  if (e.dstf != nullptr) {
+    _mm512_storeu_ps(e.dstf + di, r);
     return;
   }
+  r = _mm512_min_ps(_mm512_max_ps(_mm512_mul_ps(r, _mm512_set1_ps(e.inv)),
+                                  _mm512_set1_ps(-kRequantBound)),
+                    _mm512_set1_ps(kRequantBound));
+  // copysign(0.5, r) with AVX-512F integer logic (the ps forms need DQ).
+  const __m512i h =
+      _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(r),
+                                       _mm512_castps_si512(_mm512_set1_ps(-0.0f))),
+                      _mm512_castps_si512(_mm512_set1_ps(0.5f)));
+  const __m512i q = _mm512_add_epi32(
+      _mm512_cvttps_epi32(_mm512_add_ps(r, _mm512_castsi512_ps(h))), _mm512_set1_epi32(e.zp));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(e.dst + di), _mm512_cvtsepi32_epi8(q));
+}
+
+/// Ends shared by the zmm int8 tiles, kMr rows of kZ zmm (16 kZ columns):
+/// the first K block starts from zero and later ones re-load the partial
+/// sums staged in C; the final block with an epilogue requantizes straight
+/// out of registers, any other stores the raw sums. The store loops are
+/// unrolled so every accumulator index is a constant: a rolled loop keeps
+/// the block addressable in memory, and GCC then copies each accumulator
+/// between registers on every K step.
+template <int kZ>
+__attribute__((target("avx2,avx512f"))) inline void zmm_tile_load(__m512i (&acc)[kMr][kZ],
+                                                                  const std::int32_t* c,
+                                                                  std::int64_t N, bool first) {
   for (int i = 0; i < kMr; ++i) {
-    _mm512_storeu_si512(c + i * N, acc[i][0]);
-    _mm512_storeu_si512(c + i * N + 16, acc[i][1]);
+    for (int z = 0; z < kZ; ++z) {
+      acc[i][z] = first ? _mm512_setzero_si512() : _mm512_loadu_si512(c + i * N + 16 * z);
+    }
   }
 }
 
-/// 16-column zmm variant for the N remainder (and narrow layers like a
-/// 16-channel stem): one vpmaddwd covers the whole column tile, so narrow
-/// GEMMs keep the 512-bit MAC density instead of dropping to AVX2.
-__attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512_n16(
+template <int kZ>
+__attribute__((target("avx2,avx512f"))) inline void zmm_tile_store(
+    const __m512i (&acc)[kMr][kZ], std::int32_t* c, std::int64_t N, const EpiCtx* epi) {
+#pragma GCC unroll 4
+  for (int i = 0; i < kMr; ++i) {
+#pragma GCC unroll 2
+    for (int z = 0; z < kZ; ++z) {
+      if (epi != nullptr) {
+        epi_store16(*epi, acc[i][z], 16 * z, i * N + 16 * z);
+      } else {
+        _mm512_storeu_si512(c + i * N + 16 * z, acc[i][z]);
+      }
+    }
+  }
+}
+
+/// AVX-512 column width of the wide int8 tiles (two zmm accumulators/row).
+constexpr std::int64_t kNr3 = 32;
+
+/// kMr x 16 kZ AVX-512BW int8 microkernel: one vpmaddwd retires 32 MACs.
+/// Same operands, same exact integer arithmetic — a pure throughput tier
+/// above the AVX2 kernel. kZ = 2 runs layers with >= 32 output channels;
+/// kZ = 1 takes the 16-column remainder and narrow layers like a
+/// 16-channel stem, keeping the 512-bit MAC density instead of dropping
+/// to AVX2.
+template <int kZ>
+__attribute__((target("avx2,avx512f,avx512bw"))) void micro_tile_s8_avx512(
     std::int64_t kpc, const std::int32_t* apk, const std::int16_t* b, std::int64_t N,
     std::int32_t* c, bool first, const EpiCtx* epi) {
-  static_assert(kMr == 4, "micro_tile_s8_avx512_n16 is written for 4 rows");
-  __m512i acc[kMr];
-  for (int i = 0; i < kMr; ++i) {
-    acc[i] = first ? _mm512_setzero_si512() : _mm512_loadu_si512(c + i * N);
-  }
+  __m512i acc[kMr][kZ];
+  zmm_tile_load(acc, c, N, first);
   for (std::int64_t kp = 0; kp < kpc; ++kp) {
-    const __m512i b0 = _mm512_loadu_si512(b + kp * 2 * N);
+    __m512i bz[kZ];
+    for (int z = 0; z < kZ; ++z) bz[z] = _mm512_loadu_si512(b + kp * 2 * N + 32 * z);
     for (int i = 0; i < kMr; ++i) {
       const __m512i ai = _mm512_set1_epi32(apk[i * kpc + kp]);
-      acc[i] = _mm512_add_epi32(acc[i], _mm512_madd_epi16(ai, b0));
+      for (int z = 0; z < kZ; ++z) {
+        acc[i][z] = _mm512_add_epi32(acc[i][z], _mm512_madd_epi16(ai, bz[z]));
+      }
     }
   }
-  if (epi != nullptr) {
+  zmm_tile_store(acc, c, N, epi);
+}
+
+/// Tier-3 twin of `micro_tile_s8_avx512`: vpdpwssd does the multiply, pair
+/// sum and accumulate in one instruction. It is exact, not just close:
+/// both int16 operands lie in +-255, so a pair sum is at most 130,050 and
+/// neither form can overflow, and the non-saturating vpdpwssd adds into
+/// the int32 accumulator exactly as vpaddd does.
+template <int kZ>
+__attribute__((target("avx2,avx512f,avx512bw,avx512vnni"))) void micro_tile_s8_vnni(
+    std::int64_t kpc, const std::int32_t* apk, const std::int16_t* b, std::int64_t N,
+    std::int32_t* c, bool first, const EpiCtx* epi) {
+  __m512i acc[kMr][kZ];
+  zmm_tile_load(acc, c, N, first);
+  for (std::int64_t kp = 0; kp < kpc; ++kp) {
+    __m512i bz[kZ];
+    for (int z = 0; z < kZ; ++z) bz[z] = _mm512_loadu_si512(b + kp * 2 * N + 32 * z);
     for (int i = 0; i < kMr; ++i) {
-      const EpiCtx lane{epi->bias, epi->col_scales,
-                        epi->dst != nullptr ? epi->dst + i * N : nullptr,
-                        epi->dstf != nullptr ? epi->dstf + i * N : nullptr,
-                        epi->scale, epi->relu_cap, epi->inv, epi->zp};
-      epi_store_row2(lane, _mm512_castsi512_si256(acc[i]),
-                     _mm512_extracti64x4_epi64(acc[i], 1), 0, 0);
+      const __m512i ai = _mm512_set1_epi32(apk[i * kpc + kp]);
+      for (int z = 0; z < kZ; ++z) acc[i][z] = _mm512_dpwssd_epi32(acc[i][z], ai, bz[z]);
     }
-    return;
   }
-  for (int i = 0; i < kMr; ++i) _mm512_storeu_si512(c + i * N, acc[i]);
+  zmm_tile_store(acc, c, N, epi);
 }
 
 /// AVX-512 depthwise kernel: 32 channels per step with hoisted (branch-
 /// free) valid-tap ranges; products keep the 128-bit-sublane interleave
 /// across taps and two permutex2var shuffles restore channel order before
-/// the 16-wide epilogues. 16-channel and scalar remainders keep the same
-/// exact arithmetic.
+/// the 16-wide zmm epilogues. 16-channel and scalar remainders keep the
+/// same exact arithmetic.
 __attribute__((target("avx2,avx512f,avx512bw"))) void dwconv2d_s8_avx512(
     int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left, int oh,
     int ow, const std::int8_t* in, std::int32_t za, const std::int16_t* w16, const EpiCtx& epi) {
@@ -1071,20 +1120,9 @@ __attribute__((target("avx2,avx512f,avx512bw"))) void dwconv2d_s8_avx512(
               acc1 = _mm512_add_epi32(acc1, _mm512_unpackhi_epi16(lo, hi));
             }
           }
-          const __m512i l16 = _mm512_permutex2var_epi32(acc0, idx_lo, acc1);
-          const __m512i h16 = _mm512_permutex2var_epi32(acc0, idx_hi, acc1);
-          for (int half = 0; half < 2; ++half) {
-            const __m512i v = half == 0 ? l16 : h16;
-            const std::int64_t off = o + ch + half * 16;
-            const EpiCtx lane{epi.bias != nullptr ? epi.bias + ch + half * 16 : nullptr,
-                              epi.col_scales != nullptr ? epi.col_scales + ch + half * 16
-                                                        : nullptr,
-                              epi.dst != nullptr ? epi.dst + off : nullptr,
-                              epi.dstf != nullptr ? epi.dstf + off : nullptr,
-                              epi.scale, epi.relu_cap, epi.inv, epi.zp};
-            epi_store_row2(lane, _mm512_castsi512_si256(v), _mm512_extracti64x4_epi64(v, 1), 0,
-                           0);
-          }
+          epi_store16(epi, _mm512_permutex2var_epi32(acc0, idx_lo, acc1), ch, o + ch);
+          epi_store16(epi, _mm512_permutex2var_epi32(acc0, idx_hi, acc1), ch + 16,
+                      o + ch + 16);
         }
         for (; ch + 16 <= c; ch += 16) {
           __m256i acc0 = _mm256_setzero_si256();
@@ -1105,14 +1143,12 @@ __attribute__((target("avx2,avx512f,avx512bw"))) void dwconv2d_s8_avx512(
               acc1 = _mm256_add_epi32(acc1, _mm256_unpackhi_epi16(lo, hi));
             }
           }
-          const __m256i lo8 = _mm256_permute2x128_si256(acc0, acc1, 0x20);
-          const __m256i hi8 = _mm256_permute2x128_si256(acc0, acc1, 0x31);
-          const EpiCtx lane{epi.bias != nullptr ? epi.bias + ch : nullptr,
-                            epi.col_scales != nullptr ? epi.col_scales + ch : nullptr,
-                            epi.dst != nullptr ? epi.dst + o + ch : nullptr,
-                            epi.dstf != nullptr ? epi.dstf + o + ch : nullptr,
-                            epi.scale, epi.relu_cap, epi.inv, epi.zp};
-          epi_store_row2(lane, lo8, hi8, 0, 0);
+          // Same un-interleave as the AVX2 kernel, joined into one zmm.
+          epi_store16(epi,
+                      _mm512_inserti64x4(
+                          _mm512_castsi256_si512(_mm256_permute2x128_si256(acc0, acc1, 0x20)),
+                          _mm256_permute2x128_si256(acc0, acc1, 0x31), 1),
+                      ch, o + ch);
         }
         for (; ch < c; ++ch) {
           std::int32_t acc = 0;
@@ -1160,7 +1196,18 @@ void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* 
     std::int32_t apk[kMr * kKcPairs];
 #if IOB_GEMM_AVX2_DISPATCH
     const bool avx2 = cpu_has_avx2();
+    // The zmm tiles of the widest AVX-512 tier, 32 then 16 columns wide
+    // (nullptr below tier 2).
+    using S8Tile = void (*)(std::int64_t, const std::int32_t*, const std::int16_t*,
+                            std::int64_t, std::int32_t*, bool, const EpiCtx*);
+    const bool vnni = cpu_has_avx512_vnni();
     const bool avx512 = cpu_has_avx512();
+    const S8Tile zmm32 = vnni     ? micro_tile_s8_vnni<2>
+                         : avx512 ? micro_tile_s8_avx512<2>
+                                  : nullptr;
+    const S8Tile zmm16 = vnni     ? micro_tile_s8_vnni<1>
+                         : avx512 ? micro_tile_s8_avx512<1>
+                                  : nullptr;
 #else
     const bool avx2 = false;
 #endif
@@ -1168,16 +1215,16 @@ void gemm_s8(std::int64_t M, std::int64_t N, std::int64_t K, const std::int8_t* 
       pack_tile_s8(A + m * K, K, kp0, kpc, za, kMr, apk);
       std::int64_t n = 0;
 #if IOB_GEMM_AVX2_DISPATCH
-      if (avx512) {
+      if (zmm32 != nullptr) {
         for (; n + kNr3 <= N; n += kNr3) {
           const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
-                               last && epi != nullptr ? &ctx : nullptr);
+          zmm32(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
+                last && epi != nullptr ? &ctx : nullptr);
         }
         for (; n + kNr2 <= N; n += kNr2) {
           const EpiCtx ctx = epi != nullptr ? epi_tile(*epi, m, n, N) : EpiCtx{};
-          micro_tile_s8_avx512_n16(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
-                                   last && epi != nullptr ? &ctx : nullptr);
+          zmm16(kpc, apk, bk + 2 * n, N, C + m * N + n, first,
+                last && epi != nullptr ? &ctx : nullptr);
         }
       }
       if (avx2) {
@@ -1241,15 +1288,19 @@ void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int3
   const float inv = 1.0f / scale;
   std::int64_t i = 0;
 #if IOB_GEMM_SSE2
-  // Same per-lane ops as the scalar loop (mul, round-half-away via the
-  // sign-or trick, truncate, add zp); packs saturation == the int8 clamp.
+  // Same per-lane ops as `requantize_value` (mul, clamp, round-half-away
+  // via the sign-or trick, truncate, add zp); packs saturation == the int8
+  // clamp.
   const __m128 vinv = _mm_set1_ps(inv);
   const __m128 vhalf = _mm_set1_ps(0.5f);
   const __m128 vsign = _mm_set1_ps(-0.0f);
+  const __m128 vlo = _mm_set1_ps(-kRequantBound);
+  const __m128 vhi = _mm_set1_ps(kRequantBound);
   const __m128i vzp = _mm_set1_epi32(zero_point);
   for (; i + 8 <= n; i += 8) {
-    const __m128 v0 = _mm_mul_ps(_mm_loadu_ps(src + i), vinv);
-    const __m128 v1 = _mm_mul_ps(_mm_loadu_ps(src + i + 4), vinv);
+    const __m128 v0 = _mm_min_ps(_mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src + i), vinv), vlo), vhi);
+    const __m128 v1 =
+        _mm_min_ps(_mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src + i + 4), vinv), vlo), vhi);
     const __m128 h0 = _mm_or_ps(_mm_and_ps(v0, vsign), vhalf);
     const __m128 h1 = _mm_or_ps(_mm_and_ps(v1, vsign), vhalf);
     const __m128i q0 = _mm_add_epi32(_mm_cvttps_epi32(_mm_add_ps(v0, h0)), vzp);

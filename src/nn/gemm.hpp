@@ -83,9 +83,10 @@ void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_
 // ---- int8 execution path ----------------------------------------------------
 //
 // The quantized counterparts of the kernels above. Activations are affine
-// int8 (real = s * (q - z)); weights are per-layer affine int8. The GEMM
-// accumulates int8 x int8 products in int32 exactly (integer arithmetic:
-// the SSE2 and portable paths are bit-identical by construction), and a
+// int8 (real = s * (q - z)); weights are per-output-channel affine int8.
+// The GEMM accumulates int8 x int8 products in int32 exactly (integer
+// arithmetic: every dispatch tier and the portable path are bit-identical
+// by construction), and a
 // separate epilogue requantizes the int32 accumulator to the next layer's
 // int8 scale — or dequantizes to f32 at the network's float tail.
 
@@ -95,13 +96,26 @@ void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_
   return static_cast<std::int32_t>(v >= 0.0f ? v + 0.5f : v - 0.5f);
 }
 
+/// Bound on the scaled value before rounding: s = v * inv_out_scale is
+/// clamped to [-kRequantBound, kRequantBound]. A float -> int32 conversion
+/// of an out-of-range value is undefined in C++ and INT_MIN in SIMD, which
+/// would turn +1e10 and +inf into -128. With out_zero in [-128, 127], any
+/// |s| >= 256 saturates anyway, so the clamp changes no finite result.
+inline constexpr float kRequantBound = 256.0f;
+
 /// The one requantize scalar every int8 kernel shares: q =
-/// clamp(round_away(v * inv_out_scale) + out_zero, -128, 127). The SIMD
-/// epilogues implement exactly this per lane (their saturating packs are
-/// the clamp), so a change here is a change to the whole int8 path.
+/// clamp(round_away(clamp(v * inv_out_scale, -256, 256)) + out_zero,
+/// -128, 127). The SIMD epilogues implement exactly this per lane: the
+/// ternaries are `max(s, -256)` then `min(s, 256)` in SIMD operand order,
+/// and their saturating packs are the final clamp. NaN fails the first
+/// compare, takes the lower bound and requantizes to -128 at every tier.
+/// A change here is a change to the whole int8 path.
 [[nodiscard]] inline std::int8_t requantize_value(float v, float inv_out_scale,
                                                   std::int32_t out_zero) {
-  const std::int32_t q = round_away(v * inv_out_scale) + out_zero;
+  float s = v * inv_out_scale;
+  s = s > -kRequantBound ? s : -kRequantBound;
+  s = s < kRequantBound ? s : kRequantBound;
+  const std::int32_t q = round_away(s) + out_zero;
   return static_cast<std::int8_t>(q < -128 ? -128 : q > 127 ? 127 : q);
 }
 
@@ -121,8 +135,9 @@ void pack_b_s8(const std::int8_t* b, std::int64_t K, std::int64_t N, const std::
 /// relu clamp, then either requantize to int8 (`dst`) or store f32
 /// (`dstf`) — exactly one target must be set. Bit-identical to running the
 /// standalone `requantize_s8` / `dequantize_f32` over the int32 result
-/// (tests assert it): the SSE2 lane ops and the scalar expressions are the
-/// same IEEE operations, and pack saturation equals the scalar clamp.
+/// (tests assert it): the SIMD lane ops and the scalar expressions are the
+/// same IEEE operations, and the saturating packs (or the AVX-512
+/// down-convert) equal the scalar clamp.
 struct QuantEpilogue {
   const float* bias = nullptr;  ///< per-column bias [N] (nullptr = 0)
   /// Per-column dequant scales [N] (s_in * s_w[n], the per-output-channel
@@ -160,21 +175,23 @@ void dequantize_f32(const std::int32_t* acc, std::int64_t M, std::int64_t N, con
                     float scale, float relu_cap, float* dst);
 
 /// Test hook: cap the kernel dispatch tier of both precisions — 0 =
-/// scalar/SSE2 only, 1 = + AVX2, 2 = + AVX-512 (F and BW); values above the
-/// host's capability are still clamped by the runtime CPUID checks.
-/// Negative (the default) restores full auto-dispatch. Exists so one
-/// wide-ISA machine can assert every tier produces bit-identical results
-/// (tests/nn_engine_test.cpp, tests/nn_int8_test.cpp); production code
-/// never calls it.
+/// scalar/SSE2 only, 1 = + AVX2, 2 = + AVX-512 (F and BW), 3 = + AVX512_VNNI
+/// (the int8 GEMM tiles accumulate with vpdpwssd; f32 kernels are the same
+/// as tier 2). Values above the host's capability are still clamped by the
+/// runtime CPUID checks. Negative (the default) restores full
+/// auto-dispatch. Exists so one wide-ISA machine can assert every tier
+/// produces bit-identical results (tests/nn_engine_test.cpp,
+/// tests/nn_int8_test.cpp); production code never calls it.
 void set_kernel_dispatch_cap(int cap);
 
 /// The tier the kernels dispatch to right now, after CPUID and the test
-/// cap: 0 = SSE2 (or portable), 1 = AVX2, 2 = AVX-512. Benches record it so
-/// a measurement says which kernels produced it.
+/// cap: 0 = SSE2 (or portable), 1 = AVX2, 2 = AVX-512 F + BW, 3 = AVX-512
+/// with VNNI. Benches record it so a measurement says which kernels
+/// produced it.
 [[nodiscard]] int kernel_dispatch_tier();
 
-/// f32 -> int8 activation staging: q = clamp(round_away(v / scale) +
-/// zero_point, -128, 127), vectorized (the quantized engine's input hop).
+/// f32 -> int8 activation staging: `requantize_value(v, 1 / scale,
+/// zero_point)` per element, vectorized (the quantized engine's input hop).
 void quantize_f32_to_s8(const float* src, std::int64_t n, float scale, std::int32_t zero_point,
                         std::int8_t* dst);
 

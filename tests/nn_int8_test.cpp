@@ -61,6 +61,18 @@ struct DispatchCapGuard {
   ~DispatchCapGuard() { set_kernel_dispatch_cap(-1); }
 };
 
+/// Every cap the tier-sweep tests visit: each forced tier (SSE2, AVX2,
+/// AVX-512, AVX-512 VNNI), then auto.
+constexpr int kAllCaps[] = {0, 1, 2, 3, -1};
+
+/// Forces dispatch cap `cap` and records the tier it actually selects as a
+/// test property, so a host without AVX-512 or VNNI shows in the test
+/// report which tiers it could not run instead of passing silently.
+void force_cap(int cap) {
+  set_kernel_dispatch_cap(cap);
+  ::testing::Test::RecordProperty("tier_at_cap_" + std::to_string(cap), kernel_dispatch_tier());
+}
+
 // ---- quantize.hpp round-trip property ---------------------------------------
 
 TEST(QuantizeProperty, RoundTripErrorWithinBoundAcrossRandomTensors) {
@@ -153,43 +165,46 @@ TEST(GemmS8, DispatchTiersBitIdenticalUnderForcedCaps) {
   // On a wide-ISA host (CI containers have AVX-512BW) this exercises every
   // dispatch tier against the scalar/SSE2 baseline via the test hook; on
   // narrower hosts the higher caps clamp to the hardware and the test
-  // degenerates gracefully.
-  const std::int64_t M = 11, N = 72, K = 129;
-  std::vector<std::int8_t> A(static_cast<std::size_t>(M * K));
-  std::vector<std::int8_t> B(static_cast<std::size_t>(K * N));
-  std::vector<std::int32_t> zw(static_cast<std::size_t>(N));
-  std::vector<float> bias(static_cast<std::size_t>(N), 0.05f);
-  for (std::size_t i = 0; i < A.size(); ++i) {
-    A[i] = static_cast<std::int8_t>((static_cast<int>(i) * 29 + 3) % 255 - 127);
-  }
-  for (std::size_t i = 0; i < B.size(); ++i) {
-    B[i] = static_cast<std::int8_t>((static_cast<int>(i) * 43 + 17) % 253 - 126);
-  }
-  for (std::size_t i = 0; i < zw.size(); ++i) zw[i] = static_cast<std::int32_t>(i % 7) - 3;
-  std::vector<std::int16_t> bop(static_cast<std::size_t>(((K + 1) / 2) * N * 2));
-  pack_b_s8(B.data(), K, N, zw.data(), bop.data());
+  // degenerates gracefully. N = 48 runs the 4x32 then the 4x16 zmm tile;
+  // N = 72 runs two 4x32 tiles, then an SSE2 tile.
+  DispatchCapGuard guard;
+  const std::int64_t M = 11, K = 129;
+  for (const std::int64_t N : {48, 72}) {
+    std::vector<std::int8_t> A(static_cast<std::size_t>(M * K));
+    std::vector<std::int8_t> B(static_cast<std::size_t>(K * N));
+    std::vector<std::int32_t> zw(static_cast<std::size_t>(N));
+    std::vector<float> bias(static_cast<std::size_t>(N), 0.05f);
+    for (std::size_t i = 0; i < A.size(); ++i) {
+      A[i] = static_cast<std::int8_t>((static_cast<int>(i) * 29 + 3) % 255 - 127);
+    }
+    for (std::size_t i = 0; i < B.size(); ++i) {
+      B[i] = static_cast<std::int8_t>((static_cast<int>(i) * 43 + 17) % 253 - 126);
+    }
+    for (std::size_t i = 0; i < zw.size(); ++i) zw[i] = static_cast<std::int32_t>(i % 7) - 3;
+    std::vector<std::int16_t> bop(static_cast<std::size_t>(((K + 1) / 2) * N * 2));
+    pack_b_s8(B.data(), K, N, zw.data(), bop.data());
 
-  std::vector<std::vector<std::int32_t>> raw;
-  std::vector<std::vector<std::int8_t>> quant;
-  for (const int cap : {0, 1, 2, -1}) {
-    set_kernel_dispatch_cap(cap);
-    raw.emplace_back(static_cast<std::size_t>(M * N));
-    gemm_s8(M, N, K, A.data(), 2, bop.data(), raw.back().data());
-    quant.emplace_back(static_cast<std::size_t>(M * N));
-    std::vector<std::int32_t> scratch(static_cast<std::size_t>(M * N));
-    QuantEpilogue epi;
-    epi.bias = bias.data();
-    epi.scale = 0.002f;
-    epi.relu_cap = 0.0f;
-    epi.inv_out_scale = 25.0f;
-    epi.out_zero = -5;
-    epi.dst = quant.back().data();
-    gemm_s8(M, N, K, A.data(), 2, bop.data(), scratch.data(), &epi);
-  }
-  set_kernel_dispatch_cap(-1);
-  for (std::size_t t = 1; t < raw.size(); ++t) {
-    EXPECT_EQ(raw[0], raw[t]) << "tier cap index " << t;
-    EXPECT_EQ(quant[0], quant[t]) << "tier cap index " << t;
+    std::vector<std::vector<std::int32_t>> raw;
+    std::vector<std::vector<std::int8_t>> quant;
+    for (const int cap : kAllCaps) {
+      force_cap(cap);
+      raw.emplace_back(static_cast<std::size_t>(M * N));
+      gemm_s8(M, N, K, A.data(), 2, bop.data(), raw.back().data());
+      quant.emplace_back(static_cast<std::size_t>(M * N));
+      std::vector<std::int32_t> scratch(static_cast<std::size_t>(M * N));
+      QuantEpilogue epi;
+      epi.bias = bias.data();
+      epi.scale = 0.002f;
+      epi.relu_cap = 0.0f;
+      epi.inv_out_scale = 25.0f;
+      epi.out_zero = -5;
+      epi.dst = quant.back().data();
+      gemm_s8(M, N, K, A.data(), 2, bop.data(), scratch.data(), &epi);
+    }
+    for (std::size_t t = 1; t < raw.size(); ++t) {
+      EXPECT_EQ(raw[0], raw[t]) << "N " << N << " cap " << kAllCaps[t];
+      EXPECT_EQ(quant[0], quant[t]) << "N " << N << " cap " << kAllCaps[t];
+    }
   }
 }
 
@@ -200,6 +215,7 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
   // `bias + scale * acc` must round twice like the vector lanes do (no FMA
   // contraction under the wide tiers' target attributes). Both output
   // targets, both strides, every cap.
+  DispatchCapGuard guard;
   const int batch = 2, ih = 6, iw = 6, k = 3, pad = 1;
   for (const int c : {3, 19, 40}) {
     std::vector<std::int8_t> in(static_cast<std::size_t>(batch * ih * iw * c)),
@@ -224,8 +240,8 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
       const std::size_t n = static_cast<std::size_t>(batch * oh * ow * c);
       std::vector<std::vector<std::int8_t>> quant;
       std::vector<std::vector<float>> real;
-      for (const int cap : {0, 1, 2, -1}) {
-        set_kernel_dispatch_cap(cap);
+      for (const int cap : kAllCaps) {
+        force_cap(cap);
         quant.emplace_back(n);
         dwconv2d_s8(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), -3, w16.data(),
                     bias.data(), scales.data(), /*relu_cap=*/0.0f, /*out_scale=*/0.02f,
@@ -235,20 +251,17 @@ TEST(DwConvS8, DispatchTiersBitIdenticalUnderForcedCaps) {
                     bias.data(), scales.data(), /*relu_cap=*/-1.0f, /*out_scale=*/1.0f,
                     /*out_zero=*/0, nullptr, real.back().data());
       }
-      set_kernel_dispatch_cap(-1);
       for (std::size_t t = 1; t < quant.size(); ++t) {
-        EXPECT_EQ(quant[0], quant[t]) << "c " << c << " stride " << stride << " cap index " << t;
+        EXPECT_EQ(quant[0], quant[t])
+            << "c " << c << " stride " << stride << " cap " << kAllCaps[t];
         EXPECT_EQ(std::memcmp(real[0].data(), real[t].data(), n * sizeof(float)), 0)
-            << "c " << c << " stride " << stride << " cap index " << t;
+            << "c " << c << " stride " << stride << " cap " << kAllCaps[t];
       }
     }
   }
 }
 
 // ---- saturation of out-of-range and non-finite values ----------------------
-
-/// Every cap the tier-sweep tests visit: each forced tier, then auto.
-constexpr int kAllCaps[] = {0, 1, 2, 3, -1};
 
 /// Values an epilogue can meet far outside any calibrated range: a finite
 /// overflow and an infinity of each sign, then NaN.
@@ -273,8 +286,7 @@ TEST(Int8Saturation, QuantizeF32SaturatesTowardTheSignAtEveryCap) {
   std::vector<float> src(21);
   for (std::size_t i = 0; i < src.size(); ++i) src[i] = kWild[i % kWildCount];
   for (const int cap : kAllCaps) {
-    set_kernel_dispatch_cap(cap);
-    RecordProperty("tier_at_cap_" + std::to_string(cap), kernel_dispatch_tier());
+    force_cap(cap);
     for (const std::int32_t zp : {-5, 3}) {
       std::vector<std::int8_t> q(src.size());
       quantize_f32_to_s8(src.data(), static_cast<std::int64_t>(src.size()), 0.02f, zp, q.data());
@@ -304,8 +316,7 @@ TEST(Int8Saturation, GemmAndRequantizeSaturateTowardTheSignAtEveryCap) {
   gemm_s8(M, N, K, A.data(), 0, bop.data(), acc.data());
 
   for (const int cap : kAllCaps) {
-    set_kernel_dispatch_cap(cap);
-    RecordProperty("tier_at_cap_" + std::to_string(cap), kernel_dispatch_tier());
+    force_cap(cap);
     for (const float relu_cap : {-1.0f, 0.0f}) {
       for (const std::int32_t zp : {-5, 3}) {
         std::vector<std::int8_t> fused(static_cast<std::size_t>(M * N)),
@@ -351,8 +362,7 @@ TEST(Int8Saturation, DwConvSaturatesTowardTheSignAtEveryCap) {
   widen_dw_weights_s8(w.data(), k * k, c, zw.data(), w16.data());
   const std::size_t n = static_cast<std::size_t>(batch * ih * iw * c);
   for (const int cap : kAllCaps) {
-    set_kernel_dispatch_cap(cap);
-    RecordProperty("tier_at_cap_" + std::to_string(cap), kernel_dispatch_tier());
+    force_cap(cap);
     for (const float relu_cap : {-1.0f, 0.0f}) {
       for (const std::int32_t zp : {-5, 3}) {
         std::vector<std::int8_t> out(n);
@@ -480,6 +490,36 @@ TEST(QuantizedZoo, WeightBytesMatchParameterFootprint) {
     for (std::size_t i = 0; i < m.layer_count(); ++i) weights += m.layer(i).param_count();
     EXPECT_GT(qm.weight_bytes(), 0);
     EXPECT_LE(qm.weight_bytes(), static_cast<std::int64_t>(weights)) << m.name();
+  }
+}
+
+TEST(QuantizedZoo, LogitsBitIdenticalAtEveryDispatchCap) {
+  // The whole int8 chain (im2col, GEMM tiles, depthwise blocks, fused
+  // epilogues, float tail) must give the same logits at every tier: at
+  // batch 1, as a leaf or a lone hub session runs it, and at batch 32, a
+  // full hub sub-batch.
+  DispatchCapGuard guard;
+  for (int idx = 0; idx < 3; ++idx) {
+    const Model m = zoo_model(idx);
+    const QuantizedModel qm(m);
+    for (const int batch : {1, 32}) {
+      std::vector<Tensor> inputs;
+      for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 60 + s));
+      const Tensor stacked = stack_batch(inputs);
+      std::vector<float> ref;
+      for (const int cap : kAllCaps) {
+        force_cap(cap);
+        Workspace ws;
+        const ConstSpan out = qm.run_into(ws, stacked.data(), batch);
+        if (ref.empty()) {
+          ref.assign(out.data, out.data + out.size);
+          continue;
+        }
+        ASSERT_EQ(static_cast<std::size_t>(out.size), ref.size()) << m.name();
+        EXPECT_EQ(std::memcmp(out.data, ref.data(), ref.size() * sizeof(float)), 0)
+            << m.name() << " batch " << batch << " cap " << cap;
+      }
+    }
   }
 }
 
