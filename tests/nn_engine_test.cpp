@@ -371,6 +371,27 @@ TEST(LoweredEngine, ZooModelsBitExactBatched) {
   }
 }
 
+TEST(SeedOracle, PerSampleOracleCoversEveryBatchedSample) {
+  // Batching never changes a sample's accumulation order, so the batched
+  // pass must give, sample by sample, the per-sample seed oracle's bits.
+  for (int idx = 0; idx < 3; ++idx) {
+    const Model m = zoo_model(idx);
+    for (const int batch : {1, 2, 3, 4, 5, 8}) {
+      std::vector<Tensor> inputs, refs;
+      for (int s = 0; s < batch; ++s) {
+        inputs.push_back(patterned_tensor(m.input_shape(), 30 + s));
+        refs.push_back(m.forward_reference(inputs.back()));
+      }
+      const Tensor stacked = stack_batch(inputs);
+      const Tensor want = stack_batch(refs);
+      const Tensor got = m.run_batched_reference(stacked);
+      ASSERT_EQ(got.size(), want.size()) << m.name() << " batch " << batch;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+          << m.name() << " batch " << batch;
+    }
+  }
+}
+
 TEST(LoweredEngine, RunRangeIntoComposesAtEverySplit) {
   const Model m = zoo_model(1);  // ecg
   const Tensor x = patterned_tensor(m.input_shape(), 3);

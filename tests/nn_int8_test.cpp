@@ -523,6 +523,54 @@ TEST(QuantizedZoo, LogitsBitIdenticalAtEveryDispatchCap) {
   }
 }
 
+/// FNV-1a over `bytes` bytes, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(GoldenDigest, ZooOutputsBeforeSoftmaxArePinned) {
+  // Pins the bytes the f32 and int8 engines produce on the zoo, so any
+  // refactor of the execution paths (or of the f32 layer passes the int8
+  // calibration runs) must keep every output bit. The range stops before
+  // the final Softmax, keeping libm's exp out of the digest; every other
+  // operation is IEEE-exact, so the digest is the same on every host.
+  struct Pinned {
+    std::uint64_t f32, int8;
+  };
+  constexpr Pinned kPinned[] = {{0x5d1cda10b18b8c92ULL, 0x8d5949b5e4eebfc8ULL},   // kws
+                                {0x31b53385f5dd113eULL, 0x9b9dc2f93f1c669dULL},   // ecg
+                                {0x9acc4b44a10f079aULL, 0xf34372b6724a8486ULL}};  // vww
+  DispatchCapGuard guard;
+  for (int idx = 0; idx < 3; ++idx) {
+    const Model m = zoo_model(idx);
+    const QuantizedModel qm(m);
+    const std::size_t last = m.layer_count() - 1;
+    ASSERT_EQ(m.layer(last).describe(), "softmax") << m.name();
+    for (const int cap : {0, 1, 2, 3}) {
+      force_cap(cap);
+      std::uint64_t f32 = 0xcbf29ce484222325ULL, int8 = f32;
+      for (const int batch : {1, 2, 3, 4, 5, 8}) {
+        std::vector<Tensor> inputs;
+        for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 60 + s));
+        const Tensor stacked = stack_batch(inputs);
+        Workspace ws;
+        const ConstSpan f = m.run_range_into(ws, stacked.data(), batch, 0, last);
+        f32 = fnv1a(f32, f.data, static_cast<std::size_t>(f.size) * sizeof(float));
+        const ConstSpan q = qm.run_range_into(ws, stacked.data(), batch, 0, last);
+        int8 = fnv1a(int8, q.data, static_cast<std::size_t>(q.size) * sizeof(float));
+      }
+      EXPECT_EQ(f32, kPinned[idx].f32) << m.name() << " f32 cap " << cap << std::hex << " 0x" << f32;
+      EXPECT_EQ(int8, kPinned[idx].int8)
+          << m.name() << " int8 cap " << cap << std::hex << " 0x" << int8;
+    }
+  }
+}
+
 // ---- batch invariance -------------------------------------------------------
 
 TEST(QuantizedEngine, BatchedResultsBitIdenticalToSingleSample) {
