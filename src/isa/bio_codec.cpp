@@ -1,46 +1,11 @@
 #include "isa/bio_codec.hpp"
 
-#include <stdexcept>
+#include <limits>
 
 #include "common/expect.hpp"
-#include "isa/bitstream.hpp"
-#include "isa/huffman.hpp"
+#include "isa/entropy_detail.hpp"
 
 namespace iob::isa {
-
-namespace {
-
-std::uint32_t zz_encode(std::int32_t v) {
-  return (static_cast<std::uint32_t>(v) << 1) ^ static_cast<std::uint32_t>(v >> 31);
-}
-std::int32_t zz_decode(std::uint32_t u) {
-  return static_cast<std::int32_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
-void put_varint(std::vector<std::uint8_t>& out, std::int32_t v) {
-  std::uint32_t u = zz_encode(v);
-  while (u >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(u | 0x80));
-    u >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(u));
-}
-
-std::int32_t get_varint(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  std::uint32_t u = 0;
-  unsigned shift = 0;
-  while (true) {
-    if (pos >= in.size()) throw std::runtime_error("bio codec: truncated varint");
-    const std::uint8_t b = in[pos++];
-    u |= static_cast<std::uint32_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) break;
-    shift += 7;
-    if (shift > 28) throw std::runtime_error("bio codec: varint overflow");
-  }
-  return zz_decode(u);
-}
-
-}  // namespace
 
 BioEncoded BioCodec::encode(const std::vector<std::int16_t>& samples) const {
   BioEncoded out;
@@ -52,56 +17,33 @@ BioEncoded BioCodec::encode(const std::vector<std::int16_t>& samples) const {
   varints.reserve(samples.size());
   std::int32_t prev = 0;
   for (const std::int16_t s : samples) {
-    put_varint(varints, static_cast<std::int32_t>(s) - prev);
+    detail::put_varint(varints, static_cast<std::int32_t>(s) - prev);
     prev = s;
   }
-
-  if (!use_huffman_) {
-    out.payload = std::move(varints);
-    return out;
-  }
-
-  std::vector<std::uint64_t> freqs(256, 0);
-  for (const auto b : varints) ++freqs[b];
-  const HuffmanCodec codec = HuffmanCodec::from_frequencies(freqs);
-  out.payload = codec.code_lengths();
-  for (int i = 0; i < 4; ++i) {
-    out.payload.push_back(static_cast<std::uint8_t>((varints.size() >> (8 * i)) & 0xff));
-  }
-  BitWriter bw;
-  for (const auto b : varints) codec.encode(b, bw);
-  const auto bits = bw.finish();
-  out.payload.insert(out.payload.end(), bits.begin(), bits.end());
+  out.payload = use_huffman_ ? detail::huffman_wrap(varints) : std::move(varints);
   return out;
 }
 
 std::vector<std::int16_t> BioCodec::decode(const BioEncoded& encoded) const {
+  if (encoded.sample_count == 0) return {};
+  std::vector<std::uint8_t> unwrapped;
+  if (encoded.huffman) unwrapped = detail::huffman_unwrap(encoded.payload);
+  const std::vector<std::uint8_t>& varints = encoded.huffman ? unwrapped : encoded.payload;
+  // Every sample takes at least one varint byte: a larger count is forged
+  // and must not size the output buffer.
+  IOB_EXPECTS(encoded.sample_count <= varints.size(), "sample count exceeds the varint stream");
+
   std::vector<std::int16_t> samples;
   samples.reserve(encoded.sample_count);
-  if (encoded.sample_count == 0) return samples;
-
-  std::vector<std::uint8_t> varints;
-  if (!encoded.huffman) {
-    varints = encoded.payload;
-  } else {
-    IOB_EXPECTS(encoded.payload.size() >= 260, "payload too short for Huffman header");
-    std::vector<std::uint8_t> lengths(encoded.payload.begin(), encoded.payload.begin() + 256);
-    const HuffmanCodec codec = HuffmanCodec::from_code_lengths(std::move(lengths));
-    std::size_t count = 0;
-    for (int i = 0; i < 4; ++i) {
-      count |= static_cast<std::size_t>(encoded.payload[256 + static_cast<std::size_t>(i)])
-               << (8 * i);
-    }
-    const std::vector<std::uint8_t> bits(encoded.payload.begin() + 260, encoded.payload.end());
-    BitReader br(bits);
-    varints.resize(count);
-    for (auto& v : varints) v = static_cast<std::uint8_t>(codec.decode(br));
-  }
-
   std::size_t pos = 0;
   std::int32_t prev = 0;
   for (std::size_t i = 0; i < encoded.sample_count; ++i) {
-    prev += get_varint(varints, pos);
+    // |prev| <= 2^15 and |delta| <= 2^31, so the sum is exact in int64.
+    const std::int64_t next = static_cast<std::int64_t>(prev) + detail::get_varint(varints, pos);
+    IOB_EXPECTS(next >= std::numeric_limits<std::int16_t>::min() &&
+                    next <= std::numeric_limits<std::int16_t>::max(),
+                "decoded sample leaves the int16 range");
+    prev = static_cast<std::int32_t>(next);
     samples.push_back(static_cast<std::int16_t>(prev));
   }
   return samples;

@@ -1,8 +1,9 @@
 #pragma once
 /// \file entropy_detail.hpp
-/// Shared entropy-stage helpers for the block video codecs: signed varints
-/// over a byte token stream, and the Huffman wrap/unwrap framing
-/// (256-byte canonical code-length table + 4-byte token count + bitstream).
+/// Shared entropy-stage helpers for the biopotential and block video
+/// codecs: signed varints over a byte token stream, and the Huffman
+/// wrap/unwrap framing (256-byte canonical code-length table + 4-byte token
+/// count + bitstream).
 /// Internal to isa/; not part of the public API.
 
 #include <cstdint>
@@ -72,6 +73,11 @@ inline std::vector<std::uint8_t> huffman_unwrap(const std::vector<std::uint8_t>&
     count |= static_cast<std::size_t>(payload[256 + static_cast<std::size_t>(i)]) << (8 * i);
   }
   const std::vector<std::uint8_t> bits(payload.begin() + 260, payload.end());
+  // Every live code is at least one bit long, so a count the bitstream
+  // cannot hold is forged; reject it before it sizes the token buffer.
+  if (count > 8 * bits.size()) {
+    throw std::runtime_error("entropy: token count exceeds the bitstream");
+  }
   BitReader br(bits);
   std::vector<std::uint8_t> tokens(count);
   for (auto& t : tokens) t = static_cast<std::uint8_t>(codec.decode(br));

@@ -8,6 +8,7 @@
 #include "common/expect.hpp"
 #include "nn/model.hpp"
 #include "nn/quantize.hpp"
+#include "nn/workspace.hpp"
 
 namespace iob::net {
 
@@ -47,37 +48,28 @@ std::int64_t pass_input_elems(const nn::Model& net, std::size_t first_layer) {
                           : nn::shape_elems(net.profiles()[first_layer - 1].output_shape);
 }
 
-/// The single definition of the metered-pass input pattern: fill the
-/// not-yet-patterned suffix of `buf` up to `elems`. The value is a pure
-/// function of element position, so the prefix any sub-batch feeds in is
-/// bit-identical no matter which buffer (hub-owned or thread-local) staged
-/// it, or in what growth order. Kernel time is data-independent; the
-/// pattern only needs to be deterministic and non-degenerate.
-float* staged_pattern(std::vector<float>& buf, std::int64_t& filled, std::int64_t elems) {
-  if (static_cast<std::int64_t>(buf.size()) < elems) {
-    buf.resize(static_cast<std::size_t>(elems));
-  }
-  if (filled < elems) {
-    for (std::int64_t i = filled; i < elems; ++i) {
-      buf[static_cast<std::size_t>(i)] =
-          static_cast<float>((static_cast<std::uint64_t>(i) * 2654435761ULL) % 1024ULL) / 512.0f -
-          1.0f;
+/// Synthetic input staging for metered passes: the frames' payload bytes
+/// are window counters, not tensor payloads, so the hub feeds in patterned
+/// activations (kernel time is data-independent; the pattern only needs to
+/// be deterministic and non-degenerate). `sample_elems` is the per-sample
+/// element count of the tensor fed in: the model input, or the boundary
+/// activation of a split session. Each value is a pure function of its
+/// position, so the prefix any sub-batch feeds in is bit-identical no
+/// matter which thread staged it, or in what growth order. The buffer is
+/// grow-only and thread-local, mirroring `nn::detail::thread_workspace()`:
+/// once every thread hit its high-water batch shape, passes allocate
+/// nothing.
+float* thread_synth_input(std::int64_t sample_elems, int batch) {
+  static thread_local std::vector<float> buf;
+  const auto elems = static_cast<std::size_t>(sample_elems * batch);
+  if (buf.size() < elems) {
+    buf.reserve(elems);
+    for (std::size_t i = buf.size(); i < elems; ++i) {
+      const std::uint64_t h = (static_cast<std::uint64_t>(i) * 2654435761ULL) % 1024ULL;
+      buf.push_back(static_cast<float>(h) / 512.0f - 1.0f);
     }
-    filled = elems;
   }
   return buf.data();
-}
-
-/// Per-worker synth staging for the parallel metered path. Grow-only and
-/// thread-local, mirroring `nn::detail::thread_workspace()`: once every
-/// worker hit its high-water batch shape, parallel passes allocate nothing.
-float* thread_synth_input(std::int64_t sample_elems, int batch) {
-  struct SynthBuf {
-    std::vector<float> data;
-    std::int64_t filled = 0;
-  };
-  static thread_local SynthBuf buf;
-  return staged_pattern(buf.data, buf.filled, sample_elems * batch);
 }
 
 }  // namespace
@@ -409,47 +401,11 @@ double Hub::execute_pass(const nn::Model& net, nn::Precision precision, std::uin
       config_.engine_threads == 0
           ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
           : config_.engine_threads;
-  // Fan out only when it can pay off AND we are not already inside another
-  // pool's parallel region (a fleet sweep runs many hubs concurrently; the
-  // engine degrades to serial there so thread counts never multiply).
-  if (threads > 1 && nsub > 1 && !sim::TaskPool::in_parallel_region()) {
-    return execute_pass_parallel(net, qm, count, first_layer, last, sample_elems, nsub, threads);
-  }
-  double elapsed = 0.0;
-  while (count > 0) {
-    const int b = static_cast<int>(std::min(count, kMeterBatchCap));
-    float* in = synth_input(sample_elems, b);
-    // Size the arena outside the timed region: one-time buffer growth is
-    // setup cost, not kernel time, and would skew short metered runs.
-    if (qm != nullptr) {
-      ws_.configure(*qm, b);
-    } else {
-      ws_.configure(net, b);
-    }
-    const double t0 = wall_clock_s();
-    // Split sessions resume at the boundary; first_layer == 0 runs the
-    // whole model through the identical range engine.
-    const nn::ConstSpan out = qm != nullptr
-                                  ? qm->run_range_into(ws_, in, b, first_layer, last)
-                                  : net.run_range_into(ws_, in, b, first_layer, last);
-    elapsed += wall_clock_s() - t0;
-    // Touch the result so the pass is observably executed.
-    IOB_ENSURES(out.size > 0, "metered pass produced no output");
-    count -= static_cast<std::uint64_t>(b);
-  }
-  return elapsed;
-}
-
-double Hub::execute_pass_parallel(const nn::Model& net, const nn::QuantizedModel* qm,
-                                  std::uint64_t count, std::size_t first_layer, std::size_t last,
-                                  std::int64_t sample_elems, std::size_t nsub,
-                                  std::size_t threads) {
-  if (engine_pool_ == nullptr) engine_pool_ = std::make_unique<sim::TaskPool>(threads);
   if (subbatch_time_s_.size() < nsub) subbatch_time_s_.resize(nsub);
-  // Everything the workers need, reachable through ONE pointer: the lambda
-  // capture stays within std::function's small-buffer size, so building the
-  // RangeBody never allocates (the pass keeps the zero-steady-state-heap
-  // contract even while fanning out).
+  // Everything the sub-batch body needs, reachable through ONE pointer: the
+  // lambda capture stays within std::function's small-buffer size, so
+  // handing it to the pool never allocates (the pass keeps the
+  // zero-steady-state-heap contract even while fanning out).
   struct Ctx {
     const nn::Model* net;
     const nn::QuantizedModel* qm;
@@ -460,40 +416,51 @@ double Hub::execute_pass_parallel(const nn::Model& net, const nn::QuantizedModel
     double* times;
   } ctx{&net, qm, count, first_layer, last, sample_elems, subbatch_time_s_.data()};
   Ctx* const pc = &ctx;
-  engine_pool_->parallel_for(nsub, [pc](std::size_t sub0, std::size_t sub1) {
+  const auto run_subbatches = [pc](std::size_t sub0, std::size_t sub1) {
     // Index-ordered static chunks: sub-batch s always covers items
     // [s*cap, min((s+1)*cap, count)), no matter how many workers run.
-    // Inputs are the position-based pattern, staged per worker; the model
+    // Inputs are the position-based pattern, staged per thread; the model
     // and quantized lowering are shared read-only; all scratch is the
-    // worker's thread-local workspace. Logits are therefore bit-identical
-    // to the serial loop's for every sub-batch.
+    // running thread's workspace. Logits are therefore bit-identical at
+    // every thread count.
     nn::Workspace& ws = nn::detail::thread_workspace();
     for (std::size_t s = sub0; s < sub1; ++s) {
       const std::uint64_t done = static_cast<std::uint64_t>(s) * kMeterBatchCap;
       const int b = static_cast<int>(std::min(pc->count - done, kMeterBatchCap));
       float* in = thread_synth_input(pc->sample_elems, b);
+      // Size the arena outside the timed region: one-time buffer growth is
+      // setup cost, not kernel time, and would skew short metered runs.
       if (pc->qm != nullptr) {
         ws.configure(*pc->qm, b);
       } else {
         ws.configure(*pc->net, b);
       }
       const double t0 = wall_clock_s();
+      // Split sessions resume at the boundary; first_layer == 0 runs the
+      // whole model through the identical range engine.
       const nn::ConstSpan out =
           pc->qm != nullptr ? pc->qm->run_range_into(ws, in, b, pc->first_layer, pc->last)
                             : pc->net->run_range_into(ws, in, b, pc->first_layer, pc->last);
       pc->times[s] = wall_clock_s() - t0;
+      // Touch the result so the pass is observably executed.
       IOB_ENSURES(out.size > 0, "metered pass produced no output");
     }
-  });
-  // Merge in sub-batch index order — the same left-to-right reduction the
-  // serial loop performs, independent of which worker finished when.
+  };
+  // Fan out only when it can pay off AND we are not already inside another
+  // pool's parallel region (a fleet sweep runs many hubs concurrently; the
+  // engine stays on the calling thread there so thread counts never
+  // multiply). Otherwise the calling thread runs every sub-batch itself.
+  if (threads > 1 && nsub > 1 && !sim::TaskPool::in_parallel_region()) {
+    if (engine_pool_ == nullptr) engine_pool_ = std::make_unique<sim::TaskPool>(threads);
+    engine_pool_->parallel_for(nsub, run_subbatches);
+  } else {
+    run_subbatches(0, nsub);
+  }
+  // Merge in sub-batch index order, independent of which worker finished
+  // when.
   double elapsed = 0.0;
   for (std::size_t s = 0; s < nsub; ++s) elapsed += subbatch_time_s_[s];
   return elapsed;
-}
-
-float* Hub::synth_input(std::int64_t sample_elems, int batch) {
-  return staged_pattern(synth_, synth_filled_, sample_elems * batch);
 }
 
 void Hub::on_repartition(const std::string& stream, std::size_t split_at) {

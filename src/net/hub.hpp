@@ -29,7 +29,6 @@
 #include "comm/tdma.hpp"
 #include "net/session.hpp"
 #include "nn/qmodel.hpp"
-#include "nn/workspace.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/task_pool.hpp"
@@ -53,7 +52,7 @@ struct HubConfig {
   double energy_per_weight_byte_j = 50e-12;
   /// Execute-and-meter mode: sessions carrying a `SessionConfig::net`
   /// actually run their staged inferences through the allocation-free nn
-  /// engine (`nn::Model::run_into` on the hub's workspace), and their
+  /// engine (`nn::Model::run_range_into` on a thread-local workspace), and their
   /// `compute_energy_j` derives from measured kernel wall time x
   /// `compute_power_w` instead of the analytic MAC/weight-byte counts (the
   /// analytic number keeps accruing alongside in
@@ -73,15 +72,16 @@ struct HubConfig {
   double int8_mac_energy_scale = 0.25;
   /// Engine threads for execute-and-meter passes: a flush's metered
   /// sub-batches (`kMeterBatchCap` items each) fan out across a persistent
-  /// `sim::TaskPool` owned by the hub, lazily spawned on the first parallel
-  /// pass. Each worker runs on its own `nn::Workspace` + synth staging
-  /// (both grow-only, so the zero-steady-state-allocation contract holds
-  /// per thread), and per-sub-batch kernel times merge in sub-batch index
-  /// order — logits and every non-wall-time stat are bit-identical to the
-  /// serial path at any thread count. 1 (default) keeps the serial legacy
-  /// path byte-for-byte; 0 means hardware concurrency. Inside another
-  /// pool's parallel region (a `SweepRunner` sweep) the hub degrades to
-  /// serial — fleet parallelism wins, thread counts never multiply.
+  /// `sim::TaskPool` owned by the hub, lazily spawned on the first pass
+  /// that fans out. Every thread, the calling one included, runs on its own
+  /// `nn::Workspace` + synth staging (both grow-only, so the
+  /// zero-steady-state-allocation contract holds per thread), and
+  /// per-sub-batch kernel times merge in sub-batch index order — logits and
+  /// every non-wall-time stat are bit-identical at any thread count. 1
+  /// (default) runs every sub-batch on the calling thread; 0 means hardware
+  /// concurrency. Inside another pool's parallel region (a `SweepRunner`
+  /// sweep) the hub also stays on the calling thread — fleet parallelism
+  /// wins, thread counts never multiply.
   unsigned engine_threads = 1;
 };
 
@@ -193,35 +193,19 @@ class Hub {
   /// (the adaptive-flush trigger quantity).
   [[nodiscard]] std::uint64_t group_staged_inferences(std::size_t slot) const;
 
-  /// Execute `count` inferences on `net` at `precision` through the hub
-  /// workspace (in sub-batches of at most kMeterBatchCap), resuming at
-  /// `first_layer` (0 = whole model; a split session resumes at its
-  /// boundary via `run_range_into`), and return the measured kernel wall
-  /// time in seconds. Int8 sessions run the hub's `nn::QuantizedModel`
-  /// lowering (built once at `add_session`). With `engine_threads > 1`
-  /// (and outside any enclosing TaskPool region) the sub-batches fan out
-  /// via `execute_pass_parallel`; otherwise this is the serial legacy loop.
+  /// Execute `count` inferences on `net` at `precision` (in sub-batches of
+  /// at most kMeterBatchCap), resuming at `first_layer` (0 = whole model; a
+  /// split session resumes at its boundary via `run_range_into`), and
+  /// return the measured kernel wall time in seconds. Int8 sessions run the
+  /// hub's `nn::QuantizedModel` lowering (built once at `add_session`).
+  /// Sub-batch `s` covers items [s*kMeterBatchCap, ...) and runs on the
+  /// thread-local workspace and synth staging of whichever thread owns its
+  /// index chunk: the engine pool's workers when `engine_threads > 1`,
+  /// there is more than one sub-batch and no enclosing TaskPool region,
+  /// else the calling thread. Per-sub-batch wall times land in
+  /// `subbatch_time_s_[s]` and are summed in index order.
   double execute_pass(const nn::Model& net, nn::Precision precision, std::uint64_t count,
                       std::size_t first_layer);
-
-  /// Parallel fan-out of one metered pass: sub-batch `s` covers items
-  /// [s*kMeterBatchCap, ...) and runs on whichever pool worker owns its
-  /// index chunk, on that worker's thread-local workspace and synth
-  /// staging. Per-sub-batch wall times land in `subbatch_time_s_[s]` and
-  /// are summed in index order after the join — the returned total is the
-  /// same reduction tree the serial loop computes.
-  double execute_pass_parallel(const nn::Model& net, const nn::QuantizedModel* qm,
-                               std::uint64_t count, std::size_t first_layer, std::size_t last,
-                               std::int64_t sample_elems, std::size_t nsub, std::size_t threads);
-
-  /// Deterministic synthetic input staging for metered passes: the frames'
-  /// payload bytes are window counters, not tensor payloads, so the hub
-  /// synthesizes patterned activations (kernel time is data-independent).
-  /// `sample_elems` is the per-sample element count of the tensor fed in —
-  /// the model input, or the boundary activation of a split session. The
-  /// pattern is a pure function of element position, so any thread's
-  /// staging of the same batch shape is bit-identical.
-  float* synth_input(std::int64_t sample_elems, int batch);
 
   /// Upper bound on one metered sub-batch, bounding workspace growth.
   static constexpr std::uint64_t kMeterBatchCap = 32;
@@ -253,15 +237,12 @@ class Hub {
   std::uint64_t frames_received_ = 0;
   std::uint64_t bytes_received_ = 0;
   sim::Accumulator latency_s_;
-  nn::Workspace ws_;             ///< reused across metered passes (grow-only)
-  std::vector<float> synth_;     ///< patterned input staging for metered passes
-  std::int64_t synth_filled_ = 0;  ///< prefix of synth_ already patterned
   /// Persistent engine pool for parallel metered passes, spawned lazily on
   /// the first pass that actually fans out (engine_threads > 1, more than
   /// one sub-batch, not nested in another pool's region).
   std::unique_ptr<sim::TaskPool> engine_pool_;
-  /// Per-sub-batch kernel times of the in-flight parallel pass, merged in
-  /// index order after the join. Grow-only, reused across passes.
+  /// Per-sub-batch kernel times of the in-flight metered pass, merged in
+  /// index order. Grow-only, reused across passes.
   std::vector<double> subbatch_time_s_;
   /// Quantize-at-load cache: one `nn::QuantizedModel` per distinct source
   /// model, built when an int8 session registers under execute-and-meter

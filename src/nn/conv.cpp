@@ -73,22 +73,6 @@ Shape Conv2D::output_shape(const Shape& input) const {
   return Shape{oh, ow, out_c_};
 }
 
-Tensor Conv2D::forward(const Tensor& input) const {
-  Tensor out(output_shape(input.shape()));
-  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
-  return out;
-}
-
-Tensor Conv2D::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 4 && input.shape()[0] == batch,
-              "conv2d batched input must be [N, H, W, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2], input.shape()[3]};
-  const Shape os = output_shape(sample_shape);
-  Tensor out(Shape{batch, os[0], os[1], os[2]});
-  forward_into(input.data(), sample_shape, batch, out.data(), detail::thread_workspace());
-  return out;
-}
-
 void Conv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws) const {
   forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
@@ -155,48 +139,6 @@ Tensor Conv2D::forward_reference(const Tensor& input) const {
   return out;
 }
 
-Tensor Conv2D::forward_batched_reference(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 4 && input.shape()[0] == batch,
-              "conv2d batched input must be [N, H, W, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2], input.shape()[3]};
-  const Shape os = output_shape(sample_shape);
-  int pad_top = 0, pad_left = 0;
-  pad_amounts(sample_shape, pad_top, pad_left);
-  const int ih = sample_shape[0], iw = sample_shape[1];
-  const std::int64_t in_stride = shape_elems(sample_shape);
-  const std::int64_t out_stride = shape_elems(os);
-
-  Tensor out(Shape{batch, os[0], os[1], os[2]});
-  // Sample-innermost loop: each kernel slice streams once per output
-  // position and serves the whole batch. Per-sample accumulation order is
-  // identical to forward_reference(), so results are bit-exact.
-  for (int oy = 0; oy < os[0]; ++oy) {
-    for (int ox = 0; ox < os[1]; ++ox) {
-      for (int oc = 0; oc < out_c_; ++oc) {
-        const float* wbase = &weights_[static_cast<std::size_t>(oc) * kh_ * kw_ * in_c_];
-        for (int s = 0; s < batch; ++s) {
-          const float* ibase = input.data() + static_cast<std::ptrdiff_t>(s) * in_stride;
-          float acc = bias_[static_cast<std::size_t>(oc)];
-          for (int ky = 0; ky < kh_; ++ky) {
-            const int iy = oy * sh_ + ky - pad_top;
-            if (iy < 0 || iy >= ih) continue;
-            for (int kx = 0; kx < kw_; ++kx) {
-              const int ix = ox * sw_ + kx - pad_left;
-              if (ix < 0 || ix >= iw) continue;
-              const float* w = wbase + (static_cast<std::size_t>(ky) * kw_ + kx) * in_c_;
-              const float* in = ibase + (static_cast<std::size_t>(iy) * iw + ix) * in_c_;
-              for (int ic = 0; ic < in_c_; ++ic) acc += w[ic] * in[ic];
-            }
-          }
-          out.data()[s * out_stride + (static_cast<std::int64_t>(oy) * os[1] + ox) * out_c_ + oc] =
-              acc;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 std::uint64_t Conv2D::macs(const Shape& input) const {
   const Shape os = output_shape(input);
   return static_cast<std::uint64_t>(os[0]) * os[1] * out_c_ * kh_ * kw_ * in_c_;
@@ -242,22 +184,6 @@ Shape DepthwiseConv2D::output_shape(const Shape& input) const {
   conv_axis(input[0], k_, s_, padding_, oh, pt);
   conv_axis(input[1], k_, s_, padding_, ow, pl);
   return Shape{oh, ow, c_};
-}
-
-Tensor DepthwiseConv2D::forward(const Tensor& input) const {
-  Tensor out(output_shape(input.shape()));
-  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
-  return out;
-}
-
-Tensor DepthwiseConv2D::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 4 && input.shape()[0] == batch,
-              "dwconv batched input must be [N, H, W, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2], input.shape()[3]};
-  const Shape os = output_shape(sample_shape);
-  Tensor out(Shape{batch, os[0], os[1], os[2]});
-  forward_into(input.data(), sample_shape, batch, out.data(), detail::thread_workspace());
-  return out;
 }
 
 void DepthwiseConv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
@@ -308,43 +234,6 @@ Tensor DepthwiseConv2D::forward_reference(const Tensor& input) const {
   return out;
 }
 
-Tensor DepthwiseConv2D::forward_batched_reference(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 4 && input.shape()[0] == batch,
-              "dwconv batched input must be [N, H, W, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2], input.shape()[3]};
-  const Shape os = output_shape(sample_shape);
-  int pad_top = 0, pad_left = 0, dummy;
-  conv_axis(sample_shape[0], k_, s_, padding_, dummy, pad_top);
-  conv_axis(sample_shape[1], k_, s_, padding_, dummy, pad_left);
-  const int ih = sample_shape[0], iw = sample_shape[1];
-  const std::int64_t in_stride = shape_elems(sample_shape);
-  const std::int64_t out_stride = shape_elems(os);
-
-  Tensor out(Shape{batch, os[0], os[1], os[2]});
-  for (int oy = 0; oy < os[0]; ++oy) {
-    for (int ox = 0; ox < os[1]; ++ox) {
-      for (int ch = 0; ch < c_; ++ch) {
-        const float* w = &weights_[static_cast<std::size_t>(ch) * k_ * k_];
-        for (int s = 0; s < batch; ++s) {
-          const float* ibase = input.data() + static_cast<std::ptrdiff_t>(s) * in_stride;
-          float acc = bias_[static_cast<std::size_t>(ch)];
-          for (int ky = 0; ky < k_; ++ky) {
-            const int iy = oy * s_ + ky - pad_top;
-            if (iy < 0 || iy >= ih) continue;
-            for (int kx = 0; kx < k_; ++kx) {
-              const int ix = ox * s_ + kx - pad_left;
-              if (ix < 0 || ix >= iw) continue;
-              acc += w[ky * k_ + kx] * ibase[(static_cast<std::size_t>(iy) * iw + ix) * c_ + ch];
-            }
-          }
-          out.data()[s * out_stride + (static_cast<std::int64_t>(oy) * os[1] + ox) * c_ + ch] = acc;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 std::uint64_t DepthwiseConv2D::macs(const Shape& input) const {
   const Shape os = output_shape(input);
   return static_cast<std::uint64_t>(os[0]) * os[1] * c_ * k_ * k_;
@@ -381,22 +270,6 @@ Shape Conv1D::output_shape(const Shape& input) const {
   int ol, pl;
   conv_axis(input[0], k_, s_, padding_, ol, pl);
   return Shape{ol, out_c_};
-}
-
-Tensor Conv1D::forward(const Tensor& input) const {
-  Tensor out(output_shape(input.shape()));
-  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
-  return out;
-}
-
-Tensor Conv1D::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 3 && input.shape()[0] == batch,
-              "conv1d batched input must be [N, L, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2]};
-  const Shape os = output_shape(sample_shape);
-  Tensor out(Shape{batch, os[0], os[1]});
-  forward_into(input.data(), sample_shape, batch, out.data(), detail::thread_workspace());
-  return out;
 }
 
 void Conv1D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
@@ -456,38 +329,6 @@ Tensor Conv1D::forward_reference(const Tensor& input) const {
         for (int ic = 0; ic < in_c_; ++ic) acc += w[ic] * in[ic];
       }
       out.at(ol, oc) = acc;
-    }
-  }
-  return out;
-}
-
-Tensor Conv1D::forward_batched_reference(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() == 3 && input.shape()[0] == batch,
-              "conv1d batched input must be [N, L, C]");
-  const Shape sample_shape{input.shape()[1], input.shape()[2]};
-  const Shape os = output_shape(sample_shape);
-  int pad_lead = 0, dummy;
-  conv_axis(sample_shape[0], k_, s_, padding_, dummy, pad_lead);
-  const int il = sample_shape[0];
-  const std::int64_t in_stride = shape_elems(sample_shape);
-  const std::int64_t out_stride = shape_elems(os);
-
-  Tensor out(Shape{batch, os[0], os[1]});
-  for (int ol = 0; ol < os[0]; ++ol) {
-    for (int oc = 0; oc < out_c_; ++oc) {
-      const float* wbase = &weights_[static_cast<std::size_t>(oc) * k_ * in_c_];
-      for (int s = 0; s < batch; ++s) {
-        const float* ibase = input.data() + static_cast<std::ptrdiff_t>(s) * in_stride;
-        float acc = bias_[static_cast<std::size_t>(oc)];
-        for (int kk = 0; kk < k_; ++kk) {
-          const int ii = ol * s_ + kk - pad_lead;
-          if (ii < 0 || ii >= il) continue;
-          const float* w = wbase + static_cast<std::size_t>(kk) * in_c_;
-          const float* in = ibase + static_cast<std::size_t>(ii) * in_c_;
-          for (int ic = 0; ic < in_c_; ++ic) acc += w[ic] * in[ic];
-        }
-        out.data()[s * out_stride + static_cast<std::int64_t>(ol) * out_c_ + oc] = acc;
-      }
     }
   }
   return out;

@@ -24,14 +24,11 @@ class Conv2D final : public Layer {
   Conv2D(int in_channels, int out_channels, int kernel_h, int kernel_w, int stride_h, int stride_w,
          Padding padding, std::vector<float> weights, std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  /// Batched pass over [N, H, W, C]: all batch patches fold into one GEMM,
-  /// so the kernel tensor streams once for the whole batch.
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
+  /// A batch's patches fold into one GEMM, so the kernel tensor streams
+  /// once for the whole batch.
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched_reference(const Tensor& input, int batch) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws, const GemmTail& tail) const override;
@@ -67,12 +64,9 @@ class DepthwiseConv2D final : public Layer {
   DepthwiseConv2D(int channels, int kernel, int stride, Padding padding,
                   std::vector<float> weights, std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched_reference(const Tensor& input, int batch) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws, const GemmTail& tail) const override;
@@ -102,12 +96,9 @@ class Conv1D final : public Layer {
   Conv1D(int in_channels, int out_channels, int kernel, int stride, Padding padding,
          std::vector<float> weights, std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched_reference(const Tensor& input, int batch) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws, const GemmTail& tail) const override;

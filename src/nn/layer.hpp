@@ -21,40 +21,24 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Execute the layer.
-  [[nodiscard]] virtual Tensor forward(const Tensor& input) const = 0;
+  /// Execute the layer on one sample: allocates `output_shape(input)` and
+  /// runs `forward_into` at batch 1 on the calling thread's workspace.
+  [[nodiscard]] Tensor forward(const Tensor& input) const;
 
-  /// Execute the layer over a batched input whose leading dim is the batch
-  /// (shape [N, ...sample]). Per-sample results are bit-identical to
-  /// `forward` on each sample — batching changes memory traffic, never
-  /// arithmetic order within a sample. The base implementation loops
-  /// samples; layers with weights override it to amortize weight reads
-  /// across the batch.
-  [[nodiscard]] virtual Tensor forward_batched(const Tensor& input, int batch) const;
-
-  /// Allocation-free execution: read `batch` contiguous samples of shape
-  /// `in_shape` from `in`, write `batch` output samples to `out` (which
-  /// must hold batch * elems(output_shape(in_shape)) floats; `out` must not
-  /// alias `in`). Results are bit-exact vs `forward_reference` per sample.
-  /// Every shipped layer overrides this with a lowered kernel that never
-  /// touches the heap beyond grow-only workspace scratch; the base
-  /// implementation is an allocating fallback via `forward_batched` for
-  /// exotic out-of-tree layers.
+  /// Allocation-free execution, the one kernel entry: read `batch`
+  /// contiguous samples of shape `in_shape` from `in`, write `batch` output
+  /// samples to `out` (which must hold batch * elems(output_shape(in_shape))
+  /// floats; `out` must not alias `in`). Results are bit-exact vs
+  /// `forward_reference` per sample; batching changes memory traffic, never
+  /// the arithmetic order within a sample. No heap use beyond grow-only
+  /// workspace scratch.
   virtual void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                            Workspace& ws) const;
+                            Workspace& ws) const = 0;
 
   /// Seed-loop oracle: the original naive nested-loop implementation, kept
-  /// verbatim as the bit-exactness reference for the lowered kernels (and
-  /// as the baseline the nn_infer bench measures speedups against). Layers
-  /// whose `forward` was never lowered simply forward to it.
-  [[nodiscard]] virtual Tensor forward_reference(const Tensor& input) const {
-    return forward(input);
-  }
-
-  /// Batched seed-loop oracle (see `forward_reference`).
-  [[nodiscard]] virtual Tensor forward_batched_reference(const Tensor& input, int batch) const {
-    return forward_batched(input, batch);
-  }
+  /// verbatim as the bit-exactness reference for `forward_into` (and as the
+  /// baseline the nn_infer bench measures speedups against).
+  [[nodiscard]] virtual Tensor forward_reference(const Tensor& input) const = 0;
 
   /// Per-sample im2col scratch floats `forward_into` needs for `in_shape`
   /// (0 for layers that lower without patch extraction).

@@ -14,34 +14,12 @@
 
 namespace iob::nn {
 
-// ---- Layer (generic batched fallback) ---------------------------------------
+// ---- Layer ------------------------------------------------------------------
 
-Tensor Layer::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() >= 2 && input.shape()[0] == batch,
-              "batched input must carry the batch as its leading dim");
-  const Shape sample_shape(input.shape().begin() + 1, input.shape().end());
-  const Shape out_sample = output_shape(sample_shape);
-  Shape out_shape{batch};
-  out_shape.insert(out_shape.end(), out_sample.begin(), out_sample.end());
-  Tensor out(out_shape);
-  const std::int64_t out_stride = shape_elems(out_sample);
-  for (int s = 0; s < batch; ++s) {
-    const Tensor y = forward(input.batch_item(s));
-    std::copy(y.data(), y.data() + out_stride,
-              out.data() + static_cast<std::ptrdiff_t>(s) * out_stride);
-  }
+Tensor Layer::forward(const Tensor& input) const {
+  Tensor out(output_shape(input.shape()));
+  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
   return out;
-}
-
-void Layer::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                         Workspace& ws) const {
-  // Allocating fallback for layers without a lowered kernel; every layer
-  // shipped in this library overrides it.
-  (void)ws;
-  Shape batched_shape{batch};
-  batched_shape.insert(batched_shape.end(), in_shape.begin(), in_shape.end());
-  const Tensor y = forward_batched(Tensor::from_data(std::move(batched_shape), in), batch);
-  std::copy(y.data(), y.data() + y.size(), out);
 }
 
 void Layer::forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
@@ -74,24 +52,6 @@ FullyConnected::FullyConnected(int in_features, int out_features, std::vector<fl
   pack_k_major(weights_.data(), out_features_, in_features_, packed_.data());
 }
 
-Tensor FullyConnected::forward(const Tensor& input) const {
-  IOB_EXPECTS(input.size() == in_features_, "fc input size mismatch");
-  Tensor out(Shape{out_features_});
-  forward_into(input.data(), input.shape(), 1, out.data(), detail::thread_workspace());
-  return out;
-}
-
-Tensor FullyConnected::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() >= 2 && input.shape()[0] == batch,
-              "batched input must carry the batch as its leading dim");
-  IOB_EXPECTS(input.size() == static_cast<std::int64_t>(batch) * in_features_,
-              "fc batched input size mismatch");
-  Tensor out(Shape{batch, out_features_});
-  const Shape sample_shape(input.shape().begin() + 1, input.shape().end());
-  forward_into(input.data(), sample_shape, batch, out.data(), detail::thread_workspace());
-  return out;
-}
-
 void FullyConnected::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                                   Workspace& ws) const {
   forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
@@ -112,27 +72,6 @@ Tensor FullyConnected::forward_reference(const Tensor& input) const {
     const float* w = &weights_[static_cast<std::size_t>(o) * in_features_];
     for (int i = 0; i < in_features_; ++i) acc += w[i] * input[i];
     out[o] = acc;
-  }
-  return out;
-}
-
-Tensor FullyConnected::forward_batched_reference(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() >= 2 && input.shape()[0] == batch,
-              "batched input must carry the batch as its leading dim");
-  IOB_EXPECTS(input.size() == static_cast<std::int64_t>(batch) * in_features_,
-              "fc batched input size mismatch");
-  Tensor out(Shape{batch, out_features_});
-  // Weight rows stream once per batch (o outer, sample inner) — the
-  // amortization the hub's batched pass models. Per-(sample, output)
-  // accumulation order matches forward() exactly.
-  for (int o = 0; o < out_features_; ++o) {
-    const float* w = &weights_[static_cast<std::size_t>(o) * in_features_];
-    for (int s = 0; s < batch; ++s) {
-      const float* x = input.data() + static_cast<std::ptrdiff_t>(s) * in_features_;
-      float acc = bias_[static_cast<std::size_t>(o)];
-      for (int i = 0; i < in_features_; ++i) acc += w[i] * x[i];
-      out[static_cast<std::int64_t>(s) * out_features_ + o] = acc;
-    }
   }
   return out;
 }
@@ -161,7 +100,7 @@ std::string FullyConnected::describe() const {
 
 Relu::Relu(float cap) : cap_(cap) {}
 
-Tensor Relu::forward(const Tensor& input) const {
+Tensor Relu::forward_reference(const Tensor& input) const {
   Tensor out = input;
   for (std::int64_t i = 0; i < out.size(); ++i) {
     float v = std::max(0.0f, out[i]);
@@ -169,12 +108,6 @@ Tensor Relu::forward(const Tensor& input) const {
     out[i] = v;
   }
   return out;
-}
-
-Tensor Relu::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() >= 2 && input.shape()[0] == batch,
-              "batched input must carry the batch as its leading dim");
-  return forward(input);  // elementwise: the batched tensor is just more elements
 }
 
 void Relu::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
@@ -218,7 +151,7 @@ Shape Pool2D::output_shape(const Shape& input) const {
   return Shape{oh, ow, input[2]};
 }
 
-Tensor Pool2D::forward(const Tensor& input) const {
+Tensor Pool2D::forward_reference(const Tensor& input) const {
   const Shape os = output_shape(input.shape());
   Tensor out(os);
   const int c = input.shape()[2];
@@ -289,7 +222,7 @@ Shape GlobalAvgPool::output_shape(const Shape& input) const {
   return Shape{input.back()};
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& input) const {
+Tensor GlobalAvgPool::forward_reference(const Tensor& input) const {
   const int c = input.shape().back();
   const std::int64_t spatial = shape_elems(input.shape()) / c;
   Tensor out(Shape{c});
@@ -330,14 +263,8 @@ std::string GlobalAvgPool::describe() const { return "global-avgpool"; }
 
 // ---- Flatten ----------------------------------------------------------------
 
-Tensor Flatten::forward(const Tensor& input) const {
+Tensor Flatten::forward_reference(const Tensor& input) const {
   return input.reshaped(Shape{static_cast<int>(input.size())});
-}
-
-Tensor Flatten::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() >= 2 && input.shape()[0] == batch,
-              "batched input must carry the batch as its leading dim");
-  return input.reshaped(Shape{batch, static_cast<int>(input.size() / batch)});
 }
 
 void Flatten::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
@@ -380,7 +307,7 @@ Shape BatchNorm::output_shape(const Shape& input) const {
   return input;
 }
 
-Tensor BatchNorm::forward(const Tensor& input) const {
+Tensor BatchNorm::forward_reference(const Tensor& input) const {
   (void)output_shape(input.shape());  // validates channels
   Tensor out = input;
   const auto c = static_cast<std::int64_t>(scale_.size());
@@ -389,14 +316,6 @@ Tensor BatchNorm::forward(const Tensor& input) const {
     out[i] = scale_[ch] * out[i] + shift_[ch];
   }
   return out;
-}
-
-Tensor BatchNorm::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() >= 2 && input.shape()[0] == batch,
-              "batched input must carry the batch as its leading dim");
-  // Channels stay the trailing dim under a leading batch dim, so the
-  // per-channel affine applies to the batched tensor unchanged.
-  return forward(input);
 }
 
 void BatchNorm::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
@@ -440,8 +359,8 @@ std::string BatchNorm::describe() const {
 namespace {
 
 /// Numerically-stable softmax over one contiguous sample, in place. The
-/// single implementation behind forward and forward_batched keeps their
-/// bit-exactness contract by construction.
+/// single implementation behind forward_into and forward_reference keeps
+/// their bit-exactness contract by construction.
 void softmax_inplace(float* x, std::int64_t n) {
   float mx = -std::numeric_limits<float>::infinity();
   for (std::int64_t i = 0; i < n; ++i) mx = std::max(mx, x[i]);
@@ -455,20 +374,9 @@ void softmax_inplace(float* x, std::int64_t n) {
 
 }  // namespace
 
-Tensor Softmax::forward(const Tensor& input) const {
+Tensor Softmax::forward_reference(const Tensor& input) const {
   Tensor out = input;
   softmax_inplace(out.data(), out.size());
-  return out;
-}
-
-Tensor Softmax::forward_batched(const Tensor& input, int batch) const {
-  IOB_EXPECTS(input.rank() >= 2 && input.shape()[0] == batch,
-              "batched input must carry the batch as its leading dim");
-  Tensor out = input;
-  const std::int64_t stride = out.size() / batch;
-  for (int s = 0; s < batch; ++s) {
-    softmax_inplace(out.data() + static_cast<std::ptrdiff_t>(s) * stride, stride);
-  }
   return out;
 }
 

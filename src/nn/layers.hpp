@@ -15,13 +15,10 @@ class FullyConnected final : public Layer {
   FullyConnected(int in_features, int out_features, std::vector<float> weights,
                  std::vector<float> bias);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  /// Batched pass streaming each weight row once across the batch.
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
+  /// A batch runs as one GEMM, streaming each weight row once.
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched_reference(const Tensor& input, int batch) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws, const GemmTail& tail) const override;
@@ -46,10 +43,9 @@ class Relu final : public Layer {
  public:
   explicit Relu(float cap = 0.0f);  ///< cap <= 0 means uncapped
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] bool gemm_tail(int channels, GemmTail& tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
@@ -69,9 +65,9 @@ class Pool2D final : public Layer {
  public:
   Pool2D(PoolKind kind, int kernel, int stride);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }
@@ -89,9 +85,9 @@ class Pool2D final : public Layer {
 /// Global average pool: HWC -> C (also accepts LC -> C).
 class GlobalAvgPool final : public Layer {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }
@@ -101,10 +97,9 @@ class GlobalAvgPool final : public Layer {
 /// Flatten to rank-1.
 class Flatten final : public Layer {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override { (void)input; return 0; }
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }
@@ -125,10 +120,9 @@ class BatchNorm final : public Layer {
                         const std::vector<float>& mean, const std::vector<float>& variance,
                         float eps = 1e-5f);
 
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] bool gemm_tail(int channels, GemmTail& tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
@@ -145,10 +139,9 @@ class BatchNorm final : public Layer {
 /// Numerically-stable softmax over the last (only) dimension of a vector.
 class Softmax final : public Layer {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& input) const override;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input, int batch) const override;
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
+  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }

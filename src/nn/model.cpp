@@ -151,18 +151,6 @@ Tensor Model::forward_reference(const Tensor& input) const {
   return x;
 }
 
-Tensor Model::run_batched_reference(const Tensor& batched_input) const {
-  IOB_EXPECTS(batched_input.rank() == static_cast<int>(input_shape_.size()) + 1,
-              "batched input must add one leading batch dim to the model input shape");
-  const int batch = batched_input.shape()[0];
-  IOB_EXPECTS(std::equal(batched_input.shape().begin() + 1, batched_input.shape().end(),
-                         input_shape_.begin(), input_shape_.end()),
-              "batched input sample shape mismatch");
-  Tensor x = batched_input;
-  for (const auto& layer : layers_) x = layer->forward_batched_reference(x, batch);
-  return x;
-}
-
 const Layer& Model::layer(std::size_t i) const {
   IOB_EXPECTS(i < layers_.size(), "layer index out of range");
   return *layers_[i];

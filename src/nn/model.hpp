@@ -73,9 +73,6 @@ class Model {
   /// benchmarked — bit-exact against this.
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const;
 
-  /// Batched seed-loop oracle (see `forward_reference`).
-  [[nodiscard]] Tensor run_batched_reference(const Tensor& batched_input) const;
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const Shape& input_shape() const { return input_shape_; }
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }

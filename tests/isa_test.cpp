@@ -556,6 +556,59 @@ TEST(BioCodec, EmptyStream) {
   EXPECT_TRUE(codec.decode(codec.encode({})).empty());
 }
 
+/// A plain (non-Huffman) BioCodec stream carrying `deltas` verbatim as
+/// zig-zag varints, bypassing the encoder's int16 inputs.
+BioEncoded bio_stream(const std::vector<std::int32_t>& deltas) {
+  BioEncoded enc;
+  enc.sample_count = deltas.size();
+  for (const std::int32_t d : deltas) {
+    std::uint32_t u = (static_cast<std::uint32_t>(d) << 1) ^ static_cast<std::uint32_t>(d >> 31);
+    for (; u >= 0x80; u >>= 7) enc.payload.push_back(static_cast<std::uint8_t>(u | 0x80));
+    enc.payload.push_back(static_cast<std::uint8_t>(u));
+  }
+  return enc;
+}
+
+TEST(BioCodec, DecodeRejectsSamplesOutsideInt16) {
+  const BioCodec codec(false);
+  // The full int16 swing still decodes.
+  EXPECT_EQ(codec.decode(bio_stream({32767, -65535, 65535})),
+            (std::vector<std::int16_t>{32767, -32768, 32767}));
+  EXPECT_THROW(static_cast<void>(codec.decode(bio_stream({32768}))), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(codec.decode(bio_stream({-32767, -2}))), std::invalid_argument);
+  // Deltas of +-2^30 would overflow an int32 running sum by the second one.
+  for (const std::int32_t d : {1 << 30, -(1 << 30)}) {
+    EXPECT_THROW(static_cast<void>(codec.decode(bio_stream({d, d, d}))), std::invalid_argument)
+        << d;
+  }
+}
+
+TEST(BioCodec, DecodeRejectsSampleCountBeyondThePayload) {
+  // Each sample takes at least one varint byte, so a larger count is forged
+  // and must be rejected before it sizes the output buffer.
+  for (const bool huff : {false, true}) {
+    const BioCodec codec(huff);
+    BioEncoded enc = codec.encode(std::vector<std::int16_t>(9, 7));  // 9 one-byte varints
+    enc.sample_count = 10;
+    EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::invalid_argument) << huff;
+    enc.sample_count = std::numeric_limits<std::size_t>::max();
+    EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::invalid_argument) << huff;
+  }
+}
+
+TEST(BioCodec, DecodeRejectsHuffmanCountBeyondTheBitstream) {
+  // Every live Huffman code is at least one bit long, so a header count
+  // above 8 bits per payload byte cannot be honest.
+  const BioCodec codec(true);
+  BioEncoded enc = codec.encode(std::vector<std::int16_t>(64, 7));
+  ASSERT_GT(enc.payload.size(), 260u);
+  const std::size_t forged = 8 * (enc.payload.size() - 260) + 1;
+  for (std::size_t i = 0; i < 4; ++i) {
+    enc.payload[256 + i] = static_cast<std::uint8_t>((forged >> (8 * i)) & 0xff);
+  }
+  EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::runtime_error);
+}
+
 // ---- FFT ------------------------------------------------------------------------------
 
 TEST(Fft, ImpulseGivesFlatSpectrum) {

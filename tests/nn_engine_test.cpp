@@ -45,6 +45,14 @@ Model zoo_model(int idx) {
   return idx == 0 ? make_kws_dscnn() : idx == 1 ? make_ecg_cnn1d() : make_vww_micronet();
 }
 
+/// The seed oracle over a batch: each sample through `forward_reference`,
+/// stacked in batch order.
+Tensor stacked_reference(const Model& m, const std::vector<Tensor>& inputs) {
+  std::vector<Tensor> refs;
+  for (const Tensor& x : inputs) refs.push_back(m.forward_reference(x));
+  return stack_batch(refs);
+}
+
 // ---- gemm_blocked -----------------------------------------------------------
 
 void naive_gemm(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
@@ -277,7 +285,7 @@ TEST(GemmTailFusion, ModelChainFusesAndStaysBitExactVsReference) {
     std::vector<Tensor> inputs;
     for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(Shape{10}, 60 + s));
     const Tensor stacked = stack_batch(inputs);
-    const Tensor ref = m.run_batched_reference(stacked);
+    const Tensor ref = stacked_reference(m, inputs);
     Workspace ws;
     const ConstSpan out = m.run_into(ws, stacked.data(), batch);
     ASSERT_EQ(out.size, ref.size());
@@ -347,7 +355,7 @@ TEST(LoweredEngine, ZooModelsBitExactBatched) {
       std::vector<Tensor> inputs;
       for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), s));
       const Tensor stacked = stack_batch(inputs);
-      const Tensor ref = m.run_batched_reference(stacked);  // seed batched loops
+      const Tensor ref = stacked_reference(m, inputs);  // seed loops, per sample
       EXPECT_EQ(m.run_batched(stacked).max_abs_diff(ref), 0.0) << m.name() << " batch " << batch;
       // The whole engine (wide GEMM tiles, depthwise blocks, fused tails)
       // must give the seed loops' bits at every dispatch tier.
@@ -377,16 +385,14 @@ TEST(SeedOracle, PerSampleOracleCoversEveryBatchedSample) {
   for (int idx = 0; idx < 3; ++idx) {
     const Model m = zoo_model(idx);
     for (const int batch : {1, 2, 3, 4, 5, 8}) {
-      std::vector<Tensor> inputs, refs;
-      for (int s = 0; s < batch; ++s) {
-        inputs.push_back(patterned_tensor(m.input_shape(), 30 + s));
-        refs.push_back(m.forward_reference(inputs.back()));
-      }
+      std::vector<Tensor> inputs;
+      for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), 30 + s));
       const Tensor stacked = stack_batch(inputs);
-      const Tensor want = stack_batch(refs);
-      const Tensor got = m.run_batched_reference(stacked);
-      ASSERT_EQ(got.size(), want.size()) << m.name() << " batch " << batch;
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+      const Tensor want = stacked_reference(m, inputs);
+      Workspace ws;
+      const ConstSpan got = m.run_into(ws, stacked.data(), batch);
+      ASSERT_EQ(got.size, want.size()) << m.name() << " batch " << batch;
+      EXPECT_EQ(std::memcmp(got.data, want.data(), want.size() * sizeof(float)), 0)
           << m.name() << " batch " << batch;
     }
   }
@@ -421,7 +427,7 @@ TEST(WorkspaceReuse, VaryingBatchSizesShareOneWorkspace) {
     for (int s = 0; s < batch; ++s) inputs.push_back(patterned_tensor(m.input_shape(), batch + s));
     const Tensor stacked = stack_batch(inputs);
     const ConstSpan out = m.run_into(ws, stacked.data(), batch);
-    const Tensor ref = m.run_batched_reference(stacked);
+    const Tensor ref = stacked_reference(m, inputs);
     EXPECT_EQ(max_abs_diff(out, ConstSpan{ref.data(), ref.size()}), 0.0) << "batch " << batch;
     // Grow-only: shrinking the batch must never resize the arena.
     EXPECT_EQ(ws.activation_capacity(), act_cap) << "batch " << batch;

@@ -14,6 +14,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/quantize.hpp"
 #include "nn/tensor.hpp"
+#include "nn/workspace.hpp"
 
 namespace iob::nn {
 namespace {
@@ -472,7 +473,10 @@ TEST(Batched, FullyConnectedBatchedMatchesForward) {
   FullyConnected fc(3, 2, w, {0.5f, -0.5f});
   const Tensor a = patterned_input(Shape{3}, 0);
   const Tensor b = patterned_input(Shape{3}, 1);
-  const Tensor batched = fc.forward_batched(stack_batch({a, b}), 2);
+  const Tensor stacked = stack_batch({a, b});
+  Tensor batched(Shape{2, fc.output_shape(a.shape())[0]});
+  Workspace ws;
+  fc.forward_into(stacked.data(), a.shape(), 2, batched.data(), ws);
   EXPECT_EQ(batched.shape(), (Shape{2, 2}));
   EXPECT_EQ(batched.batch_item(0).max_abs_diff(fc.forward(a)), 0.0);
   EXPECT_EQ(batched.batch_item(1).max_abs_diff(fc.forward(b)), 0.0);
