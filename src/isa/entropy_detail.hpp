@@ -37,10 +37,12 @@ inline std::int32_t get_varint(const std::vector<std::uint8_t>& in, std::size_t&
   while (true) {
     if (pos >= in.size()) throw std::runtime_error("entropy: truncated varint");
     const std::uint8_t b = in[pos++];
+    // A fifth byte carries bits 28-31 only; more bits, or a sixth byte,
+    // would be dropped from the 32-bit value.
+    if (shift == 28 && b > 0x0f) throw std::runtime_error("entropy: varint overflow");
     u |= static_cast<std::uint32_t>(b & 0x7f) << shift;
     if (!(b & 0x80)) break;
     shift += 7;
-    if (shift > 28) throw std::runtime_error("entropy: varint overflow");
   }
   return zz_decode_s32(u);
 }

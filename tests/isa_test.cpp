@@ -583,6 +583,21 @@ TEST(BioCodec, DecodeRejectsSamplesOutsideInt16) {
   }
 }
 
+TEST(BioCodec, DecodeRejectsOverlongVarints) {
+  const BioCodec codec(false);
+  BioEncoded enc;
+  enc.sample_count = 1;
+  // Zig-zag 2^32 - 1 (delta INT32_MIN) is the largest value a varint holds.
+  enc.payload = {0xff, 0xff, 0xff, 0xff, 0x0f};
+  EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::invalid_argument);  // leaves int16
+  // A fifth byte with bits above 31 (here 2^32, which would wrap to 0) or a
+  // sixth byte is malformed.
+  for (const std::uint8_t last : {0x10, 0x8f}) {
+    enc.payload = {0x80, 0x80, 0x80, 0x80, last, 0x00};
+    EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::runtime_error) << int{last};
+  }
+}
+
 TEST(BioCodec, DecodeRejectsSampleCountBeyondThePayload) {
   // Each sample takes at least one varint byte, so a larger count is forged
   // and must be rejected before it sizes the output buffer.
