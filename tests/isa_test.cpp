@@ -274,6 +274,37 @@ TEST(Mjpeg, QualityTradesRateForDistortion) {
   EXPECT_GT(MjpegCodec(10).compression_ratio(f), MjpegCodec(90).compression_ratio(f));
 }
 
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Mjpeg, EncodedBytesArePinned) {
+  // Integer-only content (a hard edge over a mixed gradient) so the digest
+  // depends on the codec alone. Both digests must survive any refactor of
+  // the token, varint or Huffman framing code.
+  GrayFrame f;
+  f.width = 32;
+  f.height = 24;
+  f.pixels.resize(32 * 24);
+  for (int y = 0; y < 24; ++y) {
+    for (int x = 0; x < 32; ++x) {
+      const int base = x < 13 ? 30 : 220;
+      f.pixels[static_cast<std::size_t>(y) * 32 + x] =
+          static_cast<std::uint8_t>((base + 3 * x - 2 * y + ((x * y) & 7)) & 0xff);
+    }
+  }
+  const MjpegCodec codec(50);
+  const MjpegEncoded enc = codec.encode(f);
+  EXPECT_EQ(enc.payload.size(), 470u);
+  EXPECT_EQ(fnv1a(enc.payload), 6437605894638733004ULL);
+  EXPECT_EQ(fnv1a(codec.decode(enc).pixels), 10283365937828873488ULL);
+}
+
 TEST(Mjpeg, RejectsNonBlockAlignedFrames) {
   MjpegCodec codec(50);
   GrayFrame f;
