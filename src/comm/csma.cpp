@@ -8,8 +8,8 @@
 
 namespace iob::comm {
 
-CsmaBus::CsmaBus(sim::Simulator& sim, const Link& link, CsmaConfig config, sim::TraceSink* trace)
-    : sim_(sim), link_(link), config_(config), trace_(trace), rng_(sim.rng().fork(0xc5aa)) {
+CsmaBus::CsmaBus(sim::Simulator& sim, const Link& link, CsmaConfig config)
+    : sim_(sim), link_(link), config_(config), rng_(sim.rng().fork(0xc5aa)) {
   IOB_EXPECTS(config_.sigma_s > 0, "mini-slot must be positive");
   IOB_EXPECTS(config_.cw_min >= 2 && config_.cw_max >= config_.cw_min,
               "contention window bounds invalid");
@@ -135,10 +135,6 @@ void CsmaBus::run_round() {
       ++ns.frames_delivered;
       ns.bytes_delivered += frame.payload_bytes;
       ns.latency_s.add(tx_end - frame.created_s);
-      if (trace_) {
-        trace_->emit(tx_end, "csma", "deliver",
-                     ns.name + " bytes=" + std::to_string(frame.payload_bytes));
-      }
       node.queue.pop_front();
       node.attempts = 0;
       node.cw = config_.cw_min;
@@ -168,7 +164,6 @@ void CsmaBus::run_round() {
       node.cw = std::min(node.cw * 2, config_.cw_max);
       draw_backoff(node);
     }
-    if (trace_) trace_->emit(tx_end, "csma", "collision", std::to_string(winners.size()));
   }
 
   // Non-winners sense the busy medium through the transmission.

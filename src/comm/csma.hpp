@@ -18,7 +18,6 @@
 #include "comm/link.hpp"
 #include "comm/mac_stats.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace iob::comm {
 
@@ -34,8 +33,7 @@ class CsmaBus {
  public:
   using DeliveryHandler = std::function<void(const Frame&, sim::Time)>;
 
-  CsmaBus(sim::Simulator& sim, const Link& link, CsmaConfig config = {},
-          sim::TraceSink* trace = nullptr);
+  CsmaBus(sim::Simulator& sim, const Link& link, CsmaConfig config = {});
 
   NodeId add_node(std::string name);
   bool enqueue(NodeId node, Frame frame);
@@ -63,7 +61,6 @@ class CsmaBus {
   sim::Simulator& sim_;
   const Link& link_;
   CsmaConfig config_;
-  sim::TraceSink* trace_;
   std::vector<NodeState> nodes_;
   MacStats stats_;
   DeliveryHandler on_delivery_;

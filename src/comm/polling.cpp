@@ -6,9 +6,8 @@
 
 namespace iob::comm {
 
-PollingMac::PollingMac(sim::Simulator& sim, const Link& link, PollingConfig config,
-                       sim::TraceSink* trace)
-    : sim_(sim), link_(link), config_(config), trace_(trace), rng_(sim.rng().fork(0x901d)) {}
+PollingMac::PollingMac(sim::Simulator& sim, const Link& link, PollingConfig config)
+    : sim_(sim), link_(link), config_(config), rng_(sim.rng().fork(0x901d)) {}
 
 NodeId PollingMac::add_node(std::string name) {
   IOB_EXPECTS(!running_, "cannot add nodes while the MAC is running");
@@ -92,10 +91,6 @@ void PollingMac::poll_next() {
       ++ns.frames_delivered;
       ns.bytes_delivered += head.payload_bytes;
       ns.latency_s.add(delivered_at - head.created_s);
-      if (trace_) {
-        trace_->emit(delivered_at, "polling", "deliver",
-                     ns.name + " bytes=" + std::to_string(head.payload_bytes));
-      }
       if (on_delivery_) on_delivery_(head, delivered_at);
       node.queue.pop_front();
       node.head_retries = 0;

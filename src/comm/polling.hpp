@@ -16,7 +16,6 @@
 #include "comm/link.hpp"
 #include "comm/mac_stats.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace iob::comm {
 
@@ -34,8 +33,7 @@ class PollingMac {
  public:
   using DeliveryHandler = std::function<void(const Frame&, sim::Time)>;
 
-  PollingMac(sim::Simulator& sim, const Link& link, PollingConfig config = {},
-             sim::TraceSink* trace = nullptr);
+  PollingMac(sim::Simulator& sim, const Link& link, PollingConfig config = {});
 
   NodeId add_node(std::string name);
   bool enqueue(NodeId node, Frame frame);
@@ -61,7 +59,6 @@ class PollingMac {
   sim::Simulator& sim_;
   const Link& link_;
   PollingConfig config_;
-  sim::TraceSink* trace_;
   std::vector<NodeState> nodes_;
   MacStats stats_;
   DeliveryHandler on_delivery_;

@@ -8,8 +8,8 @@
 
 namespace iob::comm {
 
-TdmaBus::TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config, sim::TraceSink* trace)
-    : sim_(sim), link_(link), config_(config), trace_(trace), rng_(sim.rng().fork(0x7d0a)) {
+TdmaBus::TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config)
+    : sim_(sim), link_(link), config_(config), rng_(sim.rng().fork(0x7d0a)) {
   if (config_.slot_s <= 0.0) {
     // Auto-size from this link's rate: the slot fits one MTU frame plus
     // margin, so slower buses (BLE/NFMI/ULP-Wi-R) stop inheriting a slot
@@ -157,7 +157,6 @@ void TdmaBus::run_superframe() {
     ++stats_.superframes_skipped;
     const sim::Time cursor = t0 + superframe_duration_s();
     stats_.elapsed_s = (cursor - started_at_);
-    if (trace_) trace_->emit(t0, "tdma", "superframe_skipped", "hub down");
     sim_.at(cursor, [this] { run_superframe(); });
     return;
   }
@@ -171,7 +170,6 @@ void TdmaBus::run_superframe() {
     }
   }
   stats_.busy_airtime_s += beacon_air;
-  if (trace_) trace_->emit(t0, "tdma", "beacon", "");
 
   // Downlink (actuation) window, if configured.
   sim::Time cursor = t0 + beacon_air;
@@ -222,10 +220,6 @@ double TdmaBus::run_downlink(sim::Time window_start) {
       ++ns.downlink_frames;
       ns.downlink_bytes += head.payload_bytes;
       ns.downlink_latency_s.add(delivered_at - head.created_s);
-      if (trace_) {
-        trace_->emit(delivered_at, "tdma", "downlink",
-                     ns.name + " bytes=" + std::to_string(head.payload_bytes));
-      }
       if (on_downlink_) on_downlink_(head, delivered_at);
       downlink_queue_.pop_front();
     }
@@ -268,10 +262,6 @@ double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
     ++ns.frames_delivered;
     ns.bytes_delivered += head.payload_bytes;
     ns.latency_s.add(delivered_at - head.created_s);
-    if (trace_) {
-      trace_->emit(delivered_at, "tdma", "deliver",
-                   ns.name + " bytes=" + std::to_string(head.payload_bytes));
-    }
     if (on_delivery_) on_delivery_(head, delivered_at);
     node.queue.pop_front();
     node.head_retries = 0;

@@ -20,7 +20,6 @@
 #include "comm/link.hpp"
 #include "comm/mac_stats.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace iob::comm {
 
@@ -58,8 +57,7 @@ class TdmaBus {
   using DeliveryHandler = std::function<void(const Frame&, sim::Time)>;
 
   /// \param link the shared body-bus link model (energy/time per frame)
-  TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config = {},
-          sim::TraceSink* trace = nullptr);
+  TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config = {});
 
   /// Register a leaf node; heavier `slot_weight` grants more slots per
   /// superframe (rate-proportional allocation). Returns the node's id
@@ -157,7 +155,6 @@ class TdmaBus {
   sim::Simulator& sim_;
   const Link& link_;
   TdmaConfig config_;
-  sim::TraceSink* trace_;
   std::vector<NodeState> nodes_;
   std::deque<Frame> downlink_queue_;
   MacStats stats_;

@@ -261,7 +261,6 @@ std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
   nc.seed = p.seed;
   nc.mac = p.mac.config;
   nc.hub.batch_window = p.batch_window;
-  nc.hub.engine_threads = p.hub_engine_threads;
   nc.faults = make_fault_plan(p.fault);
   // Channel hostility axes: an engaged SIR level or motion chain installs a
   // `comm::ChannelDynamics` overlay; the clean/off defaults leave the config
@@ -479,7 +478,6 @@ FleetPoint Fleet::point_at(std::size_t index) const {
   p.harvest = axes_.harvests[hi];
   p.bus = axes_.buses[bi];
   p.batch_window = axes_.batch_windows[wi];
-  p.hub_engine_threads = axes_.hub_engine_threads;
   p.precision = axes_.precisions[pi];
   p.fault = axes_.faults[fi];
   p.split = axes_.splits[li];

@@ -190,14 +190,6 @@ struct FleetAxes {
   std::vector<MotionVariant> motion{{}};
   std::vector<std::uint64_t> seeds{42};
   double duration_s = 5.0;  ///< simulated seconds per point
-  /// Hub engine threads (`HubConfig::engine_threads`) applied to every
-  /// point — a scalar passthrough, not an axis: the hub's parallel metered
-  /// path is bit-identical to serial by contract, so sweeping it would
-  /// only grid out identical results. Inside a parallel `SweepRunner` the
-  /// hub degrades to serial regardless (fleet parallelism wins), making
-  /// fleet CSVs byte-identical across this setting by construction — the
-  /// hub-parallel test asserts exactly that.
-  unsigned hub_engine_threads = 1;
 
   /// Number of grid points (product of axis sizes).
   [[nodiscard]] std::size_t size() const;
@@ -239,7 +231,6 @@ struct FleetPoint {
   HarvestVariant harvest{};
   BusKind bus = BusKind::kWiR;
   unsigned batch_window = 0;  ///< HubConfig::batch_window for this point
-  unsigned hub_engine_threads = 1;  ///< HubConfig::engine_threads (scalar, not an axis)
   nn::Precision precision = nn::Precision::kF32;  ///< session execution precision
   FaultVariant fault = FaultVariant::kNone;  ///< fault regime (make_fault_plan)
   SplitVariant split{};     ///< leaf/hub split-execution recipe

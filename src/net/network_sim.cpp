@@ -21,10 +21,9 @@ std::unique_ptr<const comm::Link> require_link(std::unique_ptr<const comm::Link>
 NetworkSim::NetworkSim(const comm::Link& link, NetworkConfig config)
     : sim_(config.seed),
       link_(link),
-      bus_(sim_, link_, config.mac, config.trace ? &trace_ : nullptr),
+      bus_(sim_, link_, config.mac),
       faults_(config.faults),
       dynamics_cfg_(config.dynamics) {
-  trace_.enable(config.trace);
   hub_ = std::make_unique<Hub>(sim_, bus_, config.hub);
 }
 
@@ -32,10 +31,9 @@ NetworkSim::NetworkSim(std::unique_ptr<const comm::Link> link, NetworkConfig con
     : sim_(config.seed),
       owned_link_(require_link(std::move(link))),
       link_(*owned_link_),
-      bus_(sim_, link_, config.mac, config.trace ? &trace_ : nullptr),
+      bus_(sim_, link_, config.mac),
       faults_(config.faults),
       dynamics_cfg_(config.dynamics) {
-  trace_.enable(config.trace);
   hub_ = std::make_unique<Hub>(sim_, bus_, config.hub);
 }
 

@@ -18,7 +18,6 @@
 #include "net/node.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace iob::net {
 
@@ -26,7 +25,6 @@ struct NetworkConfig {
   std::uint64_t seed = 42;
   comm::TdmaConfig mac{};
   HubConfig hub{};
-  bool trace = false;
   /// Fault schedule (docs/robustness.md). The default empty plan injects
   /// nothing and keeps every report bit-identical to the pre-fault code.
   sim::FaultPlan faults{};
@@ -116,20 +114,18 @@ class NetworkSim {
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] const comm::TdmaBus& bus() const { return bus_; }
-  [[nodiscard]] const sim::TraceSink& trace() const { return trace_; }
 
  private:
   /// Event-queue warm-up sizing used by `run()` (via `EventQueue::reserve`):
   /// steady state holds ~2 pending events per node (one traffic-source
   /// occurrence + one energy-settle occurrence) plus the superframe chain
-  /// and hub/trace bookkeeping, so `kEventsBase + kEventsPerNode * nodes`
+  /// and hub bookkeeping, so `kEventsBase + kEventsPerNode * nodes`
   /// pre-sizes the slab/heap with ~2x headroom for ARQ retry and downlink
   /// bursts — the warm-up phase of even a large network never reallocates.
   static constexpr std::size_t kEventsBase = 16;
   static constexpr std::size_t kEventsPerNode = 4;
 
   sim::Simulator sim_;
-  sim::TraceSink trace_;
   std::unique_ptr<const comm::Link> owned_link_;  ///< set by the owning ctor
   const comm::Link& link_;
   comm::TdmaBus bus_;

@@ -1,12 +1,11 @@
 // Unit + DES tests for src/comm: link math, Wi-R vs BLE figures of merit
 // (the paper's >10x rate / <100x energy claims live here as assertions),
-// ARQ expectations, and the TDMA/polling MACs.
+// and the TDMA/polling MACs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "comm/arq.hpp"
 #include "comm/ble_link.hpp"
 #include "comm/frame.hpp"
 #include "comm/nfmi_link.hpp"
@@ -138,65 +137,6 @@ TEST(Ble, ConnectionEventFloorAtIdleLoads) {
   BleLink ble;
   // Even at 10 b/s the radio pays wake+keep-alive every interval: ~mW.
   EXPECT_GT(ble.stream_tx_power_w(10.0), 0.5 * mW);
-}
-
-// ---- ARQ ------------------------------------------------------------------------
-
-class LossyLinkFixture : public ::testing::Test {
- protected:
-  // A link with an intentionally bad SNR so FER is visible.
-  static LinkSpec lossy_spec(double snr_db) {
-    LinkSpec s;
-    s.name = "lossy";
-    s.phy_rate_bps = 1e6;
-    s.tx_energy_per_bit_j = 1e-9;
-    s.rx_energy_per_bit_j = 1e-9;
-    s.frame_overhead_bits = 80;
-    s.modulation = phy::Modulation::kGfsk;
-    s.link_snr_db = snr_db;
-    return s;
-  }
-};
-
-TEST_F(LossyLinkFixture, ExpectedAttemptsMatchGeometricSeries) {
-  Link link(lossy_spec(13.0));
-  const double fer = link.frame_error_rate(100);
-  ASSERT_GT(fer, 0.01);
-  ASSERT_LT(fer, 0.9);
-  Arq arq(link, ArqPolicy{16, 1e-3});
-  // sum_{k=0}^{15} fer^k
-  double expected = 0.0, p = 1.0;
-  for (int k = 0; k < 16; ++k) {
-    expected += p;
-    p *= fer;
-  }
-  EXPECT_NEAR(arq.expected_attempts(100), expected, 1e-9);
-}
-
-TEST_F(LossyLinkFixture, DeliveryProbabilityImprovesWithAttempts) {
-  Link link(lossy_spec(12.0));
-  Arq arq1(link, ArqPolicy{1, 0.0});
-  Arq arq8(link, ArqPolicy{8, 0.0});
-  EXPECT_GT(arq8.delivery_probability(100), arq1.delivery_probability(100));
-  EXPECT_GT(arq8.delivery_probability(100), 0.99);
-}
-
-TEST_F(LossyLinkFixture, SampledAttemptsMatchExpectation) {
-  Link link(lossy_spec(13.0));
-  Arq arq(link, ArqPolicy{32, 0.0});
-  sim::Rng rng(3);
-  double total = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) total += arq.sample_attempts(rng, 100);
-  EXPECT_NEAR(total / n, arq.expected_attempts(100), 0.05);
-}
-
-TEST_F(LossyLinkFixture, EnergyScalesWithAttempts) {
-  Link link(lossy_spec(13.0));
-  Arq arq(link, ArqPolicy{16, 1e-3});
-  EXPECT_NEAR(arq.expected_tx_energy_j(100),
-              arq.expected_attempts(100) * link.frame_tx_energy_j(100), 1e-15);
-  EXPECT_GT(arq.expected_latency_s(100), link.frame_time_s(100));
 }
 
 // ---- TDMA MAC (DES) ----------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Unit tests for src/energy: battery, harvester, sensing-power survey,
-// power rails, duty cycling, battery-life classification.
+// battery-life classification.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +8,8 @@
 
 #include "common/units.hpp"
 #include "energy/battery.hpp"
-#include "energy/duty_cycle.hpp"
 #include "energy/harvester.hpp"
 #include "energy/lifetime.hpp"
-#include "energy/power_rail.hpp"
 #include "energy/sensing_power.hpp"
 #include "sim/rng.hpp"
 
@@ -141,57 +139,6 @@ TEST(SensingPower, CustomAnchorsRespected) {
   EXPECT_NEAR(m.power_w(1e3), 1e-6, 1e-12);
   EXPECT_NEAR(m.power_w(1e6), 1e-3, 1e-9);
   EXPECT_THROW((void)m.power_w(0.0), std::invalid_argument);
-}
-
-// ---- PowerRailMonitor ---------------------------------------------------------
-
-TEST(PowerRail, PerRailEnergyIntegration) {
-  PowerRailMonitor mon;
-  const auto sense = mon.add_rail("sense");
-  const auto comm = mon.add_rail("comm");
-  mon.set_power(sense, 0.0, 10e-6);
-  mon.set_power(comm, 0.0, 0.0);
-  mon.set_power(comm, 5.0, 100e-6);   // burst from t=5
-  mon.set_power(comm, 6.0, 0.0);      // ends at t=6
-  EXPECT_NEAR(mon.rail_energy_j(sense, 10.0), 100e-6, 1e-12);
-  EXPECT_NEAR(mon.rail_energy_j(comm, 10.0), 100e-6, 1e-12);
-  EXPECT_NEAR(mon.total_energy_j(10.0), 200e-6, 1e-12);
-  EXPECT_NEAR(mon.rail_average_w(comm, 10.0), 10e-6, 1e-12);
-  EXPECT_EQ(mon.rail_name(sense), "sense");
-}
-
-TEST(PowerRail, RejectsBadUsage) {
-  PowerRailMonitor mon;
-  const auto r = mon.add_rail("x");
-  EXPECT_THROW(mon.set_power(r + 1, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(mon.set_power(r, 0.0, -1.0), std::invalid_argument);
-}
-
-// ---- Duty cycle ---------------------------------------------------------------
-
-TEST(DutyCycle, AveragePowerBlend) {
-  DutyCycleSpec s{10e-3, 1e-6, 0.0, 0.0};
-  EXPECT_NEAR(average_power_w(s, 0.1, 0.0), 1e-3 + 0.9e-6, 1e-9);
-  EXPECT_NEAR(average_power_w(s, 1.0, 0.0), 10e-3, 1e-12);
-}
-
-TEST(DutyCycle, WakeEnergyAmortized) {
-  DutyCycleSpec s{10e-3, 0.0, 30e-6, 0.0};
-  // 10 wakes/s adds 300 uW.
-  EXPECT_NEAR(average_power_w(s, 0.0, 10.0), 300e-6, 1e-9);
-}
-
-TEST(DutyCycle, RequiredDutyClamps) {
-  EXPECT_DOUBLE_EQ(required_duty(0.0, 1e6), 0.0);
-  EXPECT_DOUBLE_EQ(required_duty(5e5, 1e6), 0.5);
-  EXPECT_DOUBLE_EQ(required_duty(2e6, 1e6), 1.0);
-}
-
-TEST(DutyCycle, RadioKeepAliveDominatesAtUlpRates) {
-  // The BLE pathology: at 100 b/s offered, wake overhead swamps airtime.
-  DutyCycleSpec ble{15e-3, 2e-6, 30e-6, 0.0};
-  const double p = radio_average_power_w(ble, 100.0, 1e6, 30e-3);
-  EXPECT_GT(p, 0.9e-3);  // ~1 mW floor from connection events
 }
 
 // ---- Lifetime ----------------------------------------------------------------

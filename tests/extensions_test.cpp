@@ -280,7 +280,7 @@ TEST(Diurnal, RejectsMalformedProfiles) {
 
 TEST(SlotWeights, HeavyStreamGetsProportionalService) {
   comm::WiRLink wir;
-  net::NetworkSim net(wir, net::NetworkConfig{26, {}, {}, false});
+  net::NetworkSim net(wir, net::NetworkConfig{26});
 
   net::NodeConfig audio;
   audio.name = "audio";

@@ -150,7 +150,7 @@ TEST(PaperClaims, WearableBrainNetworkSupportsBodyScaleSuite) {
   // Wi-R bus, all streams delivered with low latency, every biopotential
   // leaf perpetual.
   comm::WiRLink wir;
-  net::NetworkSim sim(wir, net::NetworkConfig{11, {}, {}, false});
+  net::NetworkSim sim(wir, net::NetworkConfig{11});
 
   auto leaf = [&](const char* name, net::BodyLocation loc, double rate, double sense_uw) {
     net::NodeConfig n;
@@ -204,7 +204,7 @@ TEST(PaperClaims, HubDailyChargingLeavesPerpetual) {
   // "While the On-Body Hub requires daily charging ... the IoB nodes
   // achieve perpetual or exceedingly long-lasting operation."
   comm::WiRLink wir;
-  net::NetworkSim sim(wir, net::NetworkConfig{12, {}, {}, false});
+  net::NetworkSim sim(wir, net::NetworkConfig{12});
   net::NodeConfig n;
   n.name = "patch";
   n.stream = "ecg";

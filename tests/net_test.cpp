@@ -110,7 +110,7 @@ NodeConfig ecg_node() {
 
 TEST(NetworkSim, SingleNodeStreamsToHub) {
   comm::WiRLink wir;
-  NetworkSim net(wir, NetworkConfig{1, {}, {}, false});
+  NetworkSim net(wir, NetworkConfig{1});
   net.add_node(ecg_node());
   const NetworkReport report = net.run(30.0);
 
@@ -124,7 +124,7 @@ TEST(NetworkSim, SingleNodeStreamsToHub) {
 
 TEST(NetworkSim, NodePowerIsSumOfComponents) {
   comm::WiRLink wir;
-  NetworkSim net(wir, NetworkConfig{2, {}, {}, false});
+  NetworkSim net(wir, NetworkConfig{2});
   const auto idx = net.add_node(ecg_node());
   net.run(60.0);
   const Node& node = net.node(idx);
@@ -136,7 +136,7 @@ TEST(NetworkSim, NodePowerIsSumOfComponents) {
 
 TEST(NetworkSim, EnergyConservation) {
   comm::WiRLink wir;
-  NetworkSim net(wir, NetworkConfig{3, {}, {}, false});
+  NetworkSim net(wir, NetworkConfig{3});
   const auto idx = net.add_node(ecg_node());
   net.run(50.0);
   const Node& node = net.node(idx);
@@ -150,7 +150,7 @@ TEST(NetworkSim, EcgPatchIsPerpetualClass) {
   // The paper's headline: biopotential nodes on Wi-R become perpetual
   // (>1 yr on the 1000 mAh coin cell).
   comm::WiRLink wir;
-  NetworkSim net(wir, NetworkConfig{4, {}, {}, false});
+  NetworkSim net(wir, NetworkConfig{4});
   net.add_node(ecg_node());
   const NetworkReport report = net.run(120.0);
   EXPECT_TRUE(report.nodes[0].perpetual) << report.nodes[0].projected_life_days << " days";
@@ -182,7 +182,7 @@ TEST(NetworkSim, HarvesterExtendsLife) {
 
 TEST(NetworkSim, MultiNodeLatencyAndGoodput) {
   comm::WiRLink wir;
-  NetworkSim net(wir, NetworkConfig{6, {}, {}, false});
+  NetworkSim net(wir, NetworkConfig{6});
   NodeConfig ecg = ecg_node();
   NodeConfig imu = ecg_node();
   imu.name = "imu";
@@ -209,7 +209,7 @@ TEST(NetworkSim, MultiNodeLatencyAndGoodput) {
 
 TEST(NetworkSim, HubSessionsRunInference) {
   comm::WiRLink wir;
-  NetworkSim net(wir, NetworkConfig{7, {}, {}, false});
+  NetworkSim net(wir, NetworkConfig{7});
   net.add_node(ecg_node());
   SessionConfig s;
   s.stream = "ecg";
@@ -226,7 +226,7 @@ TEST(NetworkSim, HubSessionsRunInference) {
 TEST(NetworkSim, DeterministicAcrossRuns) {
   auto run_once = [] {
     comm::WiRLink wir;
-    NetworkSim net(wir, NetworkConfig{42, {}, {}, false});
+    NetworkSim net(wir, NetworkConfig{42});
     NodeConfig n = ecg_node();
     net.add_node(n);
     return net.run(20.0);
@@ -241,7 +241,7 @@ TEST(NetworkSim, DeterministicAcrossRuns) {
 
 TEST(NetworkSim, DeadBatteryStopsTraffic) {
   comm::WiRLink wir;
-  NetworkSim net(wir, NetworkConfig{8, {}, {}, false});
+  NetworkSim net(wir, NetworkConfig{8});
   NodeConfig tiny = ecg_node();
   tiny.battery_mah = 1e-6;  // ~10 uJ: dies almost immediately
   tiny.settle_period_s = 0.1;
@@ -251,18 +251,6 @@ TEST(NetworkSim, DeadBatteryStopsTraffic) {
   // Traffic stops shortly after depletion; far fewer frames than a healthy
   // node would deliver (healthy: ~6000 b/s * 30 s / 960 b/frame ~ 187).
   EXPECT_LT(report.nodes[0].frames_delivered, 50u);
-}
-
-TEST(NetworkSim, TraceCapturesDeliveries) {
-  comm::WiRLink wir;
-  NetworkConfig cfg;
-  cfg.seed = 9;
-  cfg.trace = true;
-  NetworkSim net(wir, cfg);
-  net.add_node(ecg_node());
-  net.run(5.0);
-  EXPECT_GT(net.trace().count("deliver"), 0u);
-  EXPECT_GT(net.trace().count("beacon"), 0u);
 }
 
 TEST(NetworkSim, RunTwiceRejected) {

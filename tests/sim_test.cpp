@@ -1,6 +1,6 @@
 // Unit tests for src/sim: RNG determinism & distributions, event queue
 // ordering (including the calendar-wheel band and its rebuilds), the
-// small-buffer callback type, simulator scheduling, statistics, tracing.
+// small-buffer callback type, simulator scheduling, statistics.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace iob::sim {
 namespace {
@@ -637,26 +636,6 @@ TEST(Histogram, OutOfRangeCounted) {
   h.add(2.0);
   EXPECT_EQ(h.underflow(), 1u);
   EXPECT_EQ(h.overflow(), 1u);
-}
-
-// ---- Trace ------------------------------------------------------------------
-
-TEST(Trace, DisabledSinkRecordsNothing) {
-  TraceSink t;
-  t.emit(1.0, "x", "y");
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(Trace, RecordsAndCounts) {
-  TraceSink t;
-  t.enable();
-  t.emit(1.0, "node.a", "tx", "bytes=10");
-  t.emit(2.0, "node.b", "tx");
-  t.emit(3.0, "node.a", "rx");
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.count("tx"), 2u);
-  EXPECT_EQ(t.count("tx", "node.a"), 1u);
-  EXPECT_NE(t.to_string().find("bytes=10"), std::string::npos);
 }
 
 // ---- Determinism across full simulations -------------------------------------
