@@ -27,7 +27,9 @@ BioEncoded BioCodec::encode(const std::vector<std::int16_t>& samples) const {
 std::vector<std::int16_t> BioCodec::decode(const BioEncoded& encoded) const {
   if (encoded.sample_count == 0) return {};
   std::vector<std::uint8_t> unwrapped;
-  if (encoded.huffman) unwrapped = detail::huffman_unwrap(encoded.payload);
+  if (encoded.huffman) {
+    unwrapped = detail::huffman_unwrap(encoded.payload.data(), encoded.payload.size());
+  }
   const std::vector<std::uint8_t>& varints = encoded.huffman ? unwrapped : encoded.payload;
   // Every sample takes at least one varint byte: a larger count is forged
   // and must not size the output buffer.
@@ -39,7 +41,8 @@ std::vector<std::int16_t> BioCodec::decode(const BioEncoded& encoded) const {
   std::int32_t prev = 0;
   for (std::size_t i = 0; i < encoded.sample_count; ++i) {
     // |prev| <= 2^15 and |delta| <= 2^31, so the sum is exact in int64.
-    const std::int64_t next = static_cast<std::int64_t>(prev) + detail::get_varint(varints, pos);
+    const std::int64_t next = static_cast<std::int64_t>(prev) +
+                              detail::get_varint(varints.data(), varints.size(), pos);
     IOB_EXPECTS(next >= std::numeric_limits<std::int16_t>::min() &&
                     next <= std::numeric_limits<std::int16_t>::max(),
                 "decoded sample leaves the int16 range");

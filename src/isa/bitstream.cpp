@@ -30,7 +30,7 @@ std::vector<std::uint8_t> BitWriter::finish() {
   return std::move(bytes_);
 }
 
-BitReader::BitReader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
+BitReader::BitReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
 std::uint64_t BitReader::read(unsigned count) {
   IOB_EXPECTS(count <= 64, "cannot read more than 64 bits at once");
@@ -41,12 +41,12 @@ std::uint64_t BitReader::read(unsigned count) {
 
 unsigned BitReader::read_bit() {
   const std::size_t byte_idx = pos_bits_ / 8;
-  if (byte_idx >= bytes_.size()) throw std::out_of_range("bitstream exhausted");
+  if (byte_idx >= size_) throw std::invalid_argument("bitstream exhausted");
   const unsigned shift = 7 - static_cast<unsigned>(pos_bits_ % 8);
   ++pos_bits_;
-  return (bytes_[byte_idx] >> shift) & 1u;
+  return (data_[byte_idx] >> shift) & 1u;
 }
 
-std::size_t BitReader::bits_remaining() const { return bytes_.size() * 8 - pos_bits_; }
+std::size_t BitReader::bits_remaining() const { return size_ * 8 - pos_bits_; }
 
 }  // namespace iob::isa

@@ -2,6 +2,7 @@
 /// \file bitstream.hpp
 /// MSB-first bit-level I/O for the entropy coders.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,11 +25,12 @@ class BitWriter {
   std::size_t bit_count_ = 0;
 };
 
+/// Reads `size` bytes at `data` in place; they must outlive the reader.
 class BitReader {
  public:
-  explicit BitReader(const std::vector<std::uint8_t>& bytes);
+  BitReader(const std::uint8_t* data, std::size_t size);
 
-  /// Read `count` bits MSB-first. Throws std::out_of_range past the end.
+  /// Read `count` bits MSB-first. Throws std::invalid_argument past the end.
   std::uint64_t read(unsigned count);
 
   /// Read a single bit.
@@ -37,7 +39,8 @@ class BitReader {
   [[nodiscard]] std::size_t bits_remaining() const;
 
  private:
-  const std::vector<std::uint8_t>& bytes_;
+  const std::uint8_t* data_;
+  std::size_t size_;
   std::size_t pos_bits_ = 0;
 };
 

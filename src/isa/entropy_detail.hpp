@@ -3,9 +3,11 @@
 /// Shared entropy-stage helpers for the biopotential and block video
 /// codecs: signed varints over a byte token stream, and the Huffman
 /// wrap/unwrap framing (256-byte canonical code-length table + 4-byte token
-/// count + bitstream).
+/// count + bitstream). Decoders read byte views in place and throw
+/// std::invalid_argument on malformed input.
 /// Internal to isa/; not part of the public API.
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -31,15 +33,16 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::int32_t v) {
   out.push_back(static_cast<std::uint8_t>(u));
 }
 
-inline std::int32_t get_varint(const std::vector<std::uint8_t>& in, std::size_t& pos) {
+/// Read the varint at `in[pos]` of the `size` bytes at `in`, advancing `pos`.
+inline std::int32_t get_varint(const std::uint8_t* in, std::size_t size, std::size_t& pos) {
   std::uint32_t u = 0;
   unsigned shift = 0;
   while (true) {
-    if (pos >= in.size()) throw std::runtime_error("entropy: truncated varint");
+    if (pos >= size) throw std::invalid_argument("entropy: truncated varint");
     const std::uint8_t b = in[pos++];
     // A fifth byte carries bits 28-31 only; more bits, or a sixth byte,
     // would be dropped from the 32-bit value.
-    if (shift == 28 && b > 0x0f) throw std::runtime_error("entropy: varint overflow");
+    if (shift == 28 && b > 0x0f) throw std::invalid_argument("entropy: varint overflow");
     u |= static_cast<std::uint32_t>(b & 0x7f) << shift;
     if (!(b & 0x80)) break;
     shift += 7;
@@ -65,22 +68,22 @@ inline std::vector<std::uint8_t> huffman_wrap(const std::vector<std::uint8_t>& t
   return out;
 }
 
-/// Inverse of huffman_wrap.
-inline std::vector<std::uint8_t> huffman_unwrap(const std::vector<std::uint8_t>& payload) {
-  if (payload.size() < 260) throw std::runtime_error("entropy: payload too short");
-  std::vector<std::uint8_t> lengths(payload.begin(), payload.begin() + 256);
-  const HuffmanCodec codec = HuffmanCodec::from_code_lengths(std::move(lengths));
+/// Inverse of huffman_wrap over the `size` bytes at `payload`.
+inline std::vector<std::uint8_t> huffman_unwrap(const std::uint8_t* payload, std::size_t size) {
+  if (size < 260) throw std::invalid_argument("entropy: payload too short");
+  const HuffmanCodec codec =
+      HuffmanCodec::from_code_lengths(std::vector<std::uint8_t>(payload, payload + 256));
   std::size_t count = 0;
   for (int i = 0; i < 4; ++i) {
     count |= static_cast<std::size_t>(payload[256 + static_cast<std::size_t>(i)]) << (8 * i);
   }
-  const std::vector<std::uint8_t> bits(payload.begin() + 260, payload.end());
+  const std::size_t bit_bytes = size - 260;
   // Every live code is at least one bit long, so a count the bitstream
   // cannot hold is forged; reject it before it sizes the token buffer.
-  if (count > 8 * bits.size()) {
-    throw std::runtime_error("entropy: token count exceeds the bitstream");
+  if (count > 8 * bit_bytes) {
+    throw std::invalid_argument("entropy: token count exceeds the bitstream");
   }
-  BitReader br(bits);
+  BitReader br(payload + 260, bit_bytes);
   std::vector<std::uint8_t> tokens(count);
   for (auto& t : tokens) t = static_cast<std::uint8_t>(codec.decode(br));
   return tokens;

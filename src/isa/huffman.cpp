@@ -139,7 +139,7 @@ unsigned HuffmanCodec::decode(BitReader& in) const {
       return symbols_by_code_[first_index_[len] + offset];
     }
   }
-  throw std::runtime_error("invalid Huffman prefix");
+  throw std::invalid_argument("invalid Huffman prefix");
 }
 
 double HuffmanCodec::expected_length_bits(const std::vector<std::uint64_t>& freqs) const {

@@ -24,7 +24,7 @@ class HuffmanCodec {
 
   void encode(unsigned symbol, BitWriter& out) const;
 
-  /// Decode one symbol; throws std::runtime_error on an invalid prefix.
+  /// Decode one symbol; throws std::invalid_argument on an invalid prefix.
   [[nodiscard]] unsigned decode(BitReader& in) const;
 
   [[nodiscard]] const std::vector<std::uint8_t>& code_lengths() const { return lengths_; }

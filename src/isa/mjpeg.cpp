@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "common/expect.hpp"
 #include "isa/dct.hpp"
-#include "isa/huffman.hpp"
+#include "isa/entropy_detail.hpp"
 
 namespace iob::isa {
 
@@ -20,37 +22,6 @@ constexpr std::array<int, 64> kJpegLuminance = {
     49, 64, 78, 87, 103, 121, 120, 101, 72, 92, 95, 98, 112, 100, 103, 99};
 
 constexpr std::uint8_t kEobRun = 63;  ///< run byte value marking end-of-block
-
-/// Signed -> unsigned zig-zag mapping for varints.
-std::uint32_t zz_encode(std::int32_t v) {
-  return (static_cast<std::uint32_t>(v) << 1) ^ static_cast<std::uint32_t>(v >> 31);
-}
-std::int32_t zz_decode(std::uint32_t u) {
-  return static_cast<std::int32_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
-void put_varint(std::vector<std::uint8_t>& out, std::int32_t v) {
-  std::uint32_t u = zz_encode(v);
-  while (u >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(u | 0x80));
-    u >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(u));
-}
-
-std::int32_t get_varint(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  std::uint32_t u = 0;
-  unsigned shift = 0;
-  while (true) {
-    if (pos >= in.size()) throw std::runtime_error("mjpeg: truncated varint");
-    const std::uint8_t b = in[pos++];
-    u |= static_cast<std::uint32_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) break;
-    shift += 7;
-    if (shift > 28) throw std::runtime_error("mjpeg: varint overflow");
-  }
-  return zz_decode(u);
-}
 
 }  // namespace
 
@@ -98,7 +69,7 @@ MjpegEncoded MjpegCodec::encode(const GrayFrame& frame) const {
       }
 
       // DC delta.
-      put_varint(tokens, q[0] - prev_dc);
+      detail::put_varint(tokens, q[0] - prev_dc);
       prev_dc = q[0];
 
       // AC run-length: (zero-run, value) pairs, EOB terminator.
@@ -109,7 +80,7 @@ MjpegEncoded MjpegCodec::encode(const GrayFrame& frame) const {
           continue;
         }
         tokens.push_back(static_cast<std::uint8_t>(run));
-        put_varint(tokens, q[static_cast<std::size_t>(i)]);
+        detail::put_varint(tokens, q[static_cast<std::size_t>(i)]);
         run = 0;
       }
       tokens.push_back(kEobRun);
@@ -117,42 +88,26 @@ MjpegEncoded MjpegCodec::encode(const GrayFrame& frame) const {
   }
 
   // Entropy stage: canonical Huffman over token bytes.
-  std::vector<std::uint64_t> freqs(256, 0);
-  for (const auto b : tokens) ++freqs[b];
-  const HuffmanCodec codec = HuffmanCodec::from_frequencies(freqs);
-
   MjpegEncoded out;
   out.width = frame.width;
   out.height = frame.height;
   out.quality = quality_;
-  out.payload = codec.code_lengths();  // 256 bytes of table
-  // 4-byte token count.
-  for (int i = 0; i < 4; ++i) {
-    out.payload.push_back(static_cast<std::uint8_t>((tokens.size() >> (8 * i)) & 0xff));
-  }
-  BitWriter bw;
-  for (const auto b : tokens) codec.encode(b, bw);
-  const auto bits = bw.finish();
-  out.payload.insert(out.payload.end(), bits.begin(), bits.end());
+  out.payload = detail::huffman_wrap(tokens);
   return out;
 }
 
 GrayFrame MjpegCodec::decode(const MjpegEncoded& encoded) const {
+  IOB_EXPECTS(encoded.width > 0 && encoded.height > 0, "encoded dims must be positive");
   IOB_EXPECTS(encoded.width % kBlock == 0 && encoded.height % kBlock == 0,
               "encoded dims must be multiples of 8");
-  IOB_EXPECTS(encoded.payload.size() >= 260, "payload too short");
-
-  std::vector<std::uint8_t> lengths(encoded.payload.begin(), encoded.payload.begin() + 256);
-  const HuffmanCodec codec = HuffmanCodec::from_code_lengths(std::move(lengths));
-  std::size_t token_count = 0;
-  for (int i = 0; i < 4; ++i) {
-    token_count |= static_cast<std::size_t>(encoded.payload[256 + static_cast<std::size_t>(i)])
-                   << (8 * i);
-  }
-  const std::vector<std::uint8_t> bits(encoded.payload.begin() + 260, encoded.payload.end());
-  BitReader br(bits);
-  std::vector<std::uint8_t> tokens(token_count);
-  for (auto& t : tokens) t = static_cast<std::uint8_t>(codec.decode(br));
+  const std::vector<std::uint8_t> tokens =
+      detail::huffman_unwrap(encoded.payload.data(), encoded.payload.size());
+  // Every block takes at least a DC byte and an EOB byte, so larger dims
+  // are forged and must not size the frame.
+  IOB_EXPECTS(static_cast<std::uint64_t>(encoded.width / kBlock) *
+                      static_cast<std::uint64_t>(encoded.height / kBlock) <=
+                  tokens.size() / 2,
+              "encoded dims exceed the token stream");
 
   const auto& zz = zigzag_order();
   GrayFrame frame;
@@ -166,16 +121,21 @@ GrayFrame MjpegCodec::decode(const MjpegEncoded& encoded) const {
   for (int by = 0; by < frame.height; by += kBlock) {
     for (int bx = 0; bx < frame.width; bx += kBlock) {
       std::array<int, 64> q{};
-      q[0] = prev_dc + get_varint(tokens, pos);
+      const std::int64_t dc =
+          std::int64_t{prev_dc} + detail::get_varint(tokens.data(), tokens.size(), pos);
+      if (dc < std::numeric_limits<int>::min() || dc > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument("mjpeg: DC out of range");
+      }
+      q[0] = static_cast<int>(dc);
       prev_dc = q[0];
       int i = 1;
       while (true) {
-        if (pos >= tokens.size()) throw std::runtime_error("mjpeg: truncated block");
+        if (pos >= tokens.size()) throw std::invalid_argument("mjpeg: truncated block");
         const std::uint8_t run = tokens[pos++];
         if (run == kEobRun) break;
         i += run;
-        if (i >= 64) throw std::runtime_error("mjpeg: run past block end");
-        q[static_cast<std::size_t>(i)] = get_varint(tokens, pos);
+        if (i >= 64) throw std::invalid_argument("mjpeg: run past block end");
+        q[static_cast<std::size_t>(i)] = detail::get_varint(tokens.data(), tokens.size(), pos);
         ++i;
       }
 

@@ -83,7 +83,8 @@ void encode_residual_blocks(const std::vector<float>& residual, int width, int h
   if (zero_run > 0) detail::put_varint(tokens, zero_run);
 }
 
-std::vector<float> decode_residual_blocks(const std::vector<std::uint8_t>& tokens, int width,
+/// Inverse of encode_residual_blocks over the `size` tokens at `tokens`.
+std::vector<float> decode_residual_blocks(const std::uint8_t* tokens, std::size_t size, int width,
                                           int height, const std::vector<int>& quant) {
   const auto& zz = zigzag_order();
   std::vector<float> residual(static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
@@ -93,23 +94,23 @@ std::vector<float> decode_residual_blocks(const std::vector<std::uint8_t>& token
   std::size_t pos = 0;
   int block_idx = 0;
   while (block_idx < total_blocks) {
-    const std::int32_t skip = detail::get_varint(tokens, pos);
-    if (skip < 0 || block_idx + skip > total_blocks) {
-      throw std::runtime_error("mjpeg-delta: invalid block skip");
+    const std::int32_t skip = detail::get_varint(tokens, size, pos);
+    if (skip < 0 || skip > total_blocks - block_idx) {
+      throw std::invalid_argument("mjpeg-delta: invalid block skip");
     }
     block_idx += skip;  // skipped blocks stay zero
     if (block_idx == total_blocks) break;
 
     std::array<int, 64> q{};
-    q[0] = detail::get_varint(tokens, pos);  // absolute DC
+    q[0] = detail::get_varint(tokens, size, pos);  // absolute DC
     int i = 1;
     while (true) {
-      if (pos >= tokens.size()) throw std::runtime_error("mjpeg-delta: truncated block");
+      if (pos >= size) throw std::invalid_argument("mjpeg-delta: truncated block");
       const std::uint8_t run = tokens[pos++];
       if (run == 63) break;
       i += run;
-      if (i >= 64) throw std::runtime_error("mjpeg-delta: run past block end");
-      q[static_cast<std::size_t>(i)] = detail::get_varint(tokens, pos);
+      if (i >= 64) throw std::invalid_argument("mjpeg-delta: run past block end");
+      q[static_cast<std::size_t>(i)] = detail::get_varint(tokens, size, pos);
       ++i;
     }
     Block coeffs{};
@@ -226,10 +227,18 @@ GrayFrame MjpegDeltaDecoder::decode_next(const DeltaEncodedFrame& encoded) {
   IOB_EXPECTS(encoded.width == reference_.width && encoded.height == reference_.height,
               "delta frame dimension mismatch");
   IOB_EXPECTS(!encoded.payload.empty(), "empty delta payload");
-  const std::vector<std::uint8_t> body(encoded.payload.begin() + 1, encoded.payload.end());
-  const auto tokens = encoded.payload[0] == 1 ? detail::huffman_unwrap(body) : body;
+  // Raw tokens are read in place after the mode byte; Huffman-wrapped
+  // ones are unwrapped from there.
+  const std::uint8_t* tokens = encoded.payload.data() + 1;
+  std::size_t size = encoded.payload.size() - 1;
+  std::vector<std::uint8_t> unwrapped;
+  if (encoded.payload[0] == 1) {
+    unwrapped = detail::huffman_unwrap(tokens, size);
+    tokens = unwrapped.data();
+    size = unwrapped.size();
+  }
   const auto residual =
-      decode_residual_blocks(tokens, encoded.width, encoded.height, intra_.quant_matrix());
+      decode_residual_blocks(tokens, size, encoded.width, encoded.height, intra_.quant_matrix());
   for (std::size_t i = 0; i < reference_.pixels.size(); ++i) {
     reference_.pixels[i] =
         clamp_pixel(static_cast<double>(reference_.pixels[i]) + residual[i]);

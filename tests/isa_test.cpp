@@ -43,7 +43,7 @@ TEST(Bitstream, RoundTripMixedWidths) {
   w.write(1, 1);
   w.write(0x123456789abcdefULL, 57);
   const auto bytes = w.finish();
-  BitReader r(bytes);
+  BitReader r(bytes.data(), bytes.size());
   EXPECT_EQ(r.read(3), 0b101u);
   EXPECT_EQ(r.read(16), 0xdeadu);
   EXPECT_EQ(r.read(1), 1u);
@@ -61,9 +61,9 @@ TEST(Bitstream, ReadPastEndThrows) {
   BitWriter w;
   w.write(0xff, 8);
   const auto bytes = w.finish();
-  BitReader r(bytes);
+  BitReader r(bytes.data(), bytes.size());
   r.read(8);
-  EXPECT_THROW(r.read(1), std::out_of_range);
+  EXPECT_THROW(r.read(1), std::invalid_argument);
 }
 
 // ---- Huffman -------------------------------------------------------------------
@@ -81,7 +81,7 @@ TEST(Huffman, RoundTripSkewedDistribution) {
   BitWriter w;
   for (const auto s : message) codec.encode(s, w);
   const auto bytes = w.finish();
-  BitReader r(bytes);
+  BitReader r(bytes.data(), bytes.size());
   for (const auto s : message) EXPECT_EQ(codec.decode(r), s);
 }
 
@@ -117,7 +117,7 @@ TEST(Huffman, SingleSymbolAlphabet) {
   codec.encode(3, w);
   codec.encode(3, w);
   const auto bytes = w.finish();
-  BitReader r(bytes);
+  BitReader r(bytes.data(), bytes.size());
   EXPECT_EQ(codec.decode(r), 3u);
   EXPECT_EQ(codec.decode(r), 3u);
 }
@@ -130,7 +130,7 @@ TEST(Huffman, RebuildFromCodeLengths) {
   original.encode(2, w);
   original.encode(0, w);
   const auto bytes = w.finish();
-  BitReader r(bytes);
+  BitReader r(bytes.data(), bytes.size());
   EXPECT_EQ(rebuilt.decode(r), 2u);
   EXPECT_EQ(rebuilt.decode(r), 0u);
 }
@@ -303,6 +303,47 @@ TEST(Mjpeg, EncodedBytesArePinned) {
   EXPECT_EQ(enc.payload.size(), 470u);
   EXPECT_EQ(fnv1a(enc.payload), 6437605894638733004ULL);
   EXPECT_EQ(fnv1a(codec.decode(enc).pixels), 10283365937828873488ULL);
+}
+
+/// An 8x8 MJPEG stream whose token bytes are `tokens`, framed as the codec
+/// frames them: [256 B code lengths][4 B token count][Huffman bits].
+MjpegEncoded mjpeg_stream(const std::vector<std::uint8_t>& tokens) {
+  std::vector<std::uint64_t> freqs(256, 0);
+  for (const auto t : tokens) ++freqs[t];
+  const HuffmanCodec codec = HuffmanCodec::from_frequencies(freqs);
+  MjpegEncoded enc;
+  enc.width = enc.height = 8;
+  enc.quality = 50;
+  enc.payload = codec.code_lengths();
+  for (int i = 0; i < 4; ++i) {
+    enc.payload.push_back(static_cast<std::uint8_t>((tokens.size() >> (8 * i)) & 0xff));
+  }
+  BitWriter w;
+  for (const auto t : tokens) codec.encode(t, w);
+  const auto bits = w.finish();
+  enc.payload.insert(enc.payload.end(), bits.begin(), bits.end());
+  return enc;
+}
+
+TEST(Mjpeg, DecodeRejectsVarintBitsAbove31) {
+  const MjpegCodec codec(50);
+  // DC 1, then EOB: a well-formed one-block frame.
+  EXPECT_NO_THROW(static_cast<void>(codec.decode(mjpeg_stream({0x02, 0x3f}))));
+  // A fifth varint byte 0x10 sets bit 32, which a 32-bit DC cannot hold.
+  EXPECT_THROW(static_cast<void>(codec.decode(mjpeg_stream({0x80, 0x80, 0x80, 0x80, 0x10, 0x3f}))),
+               std::invalid_argument);
+}
+
+TEST(Mjpeg, DecodeRejectsTokenCountBeyondTheBitstream) {
+  // A valid table (every symbol 8 bits long), a count of 2^24 tokens and
+  // no bitstream at all: the count is forged and must not size a buffer.
+  MjpegEncoded enc;
+  enc.width = enc.height = 8;
+  enc.quality = 50;
+  enc.payload.assign(256, 8);
+  const std::uint32_t forged = 1u << 24;
+  for (int i = 0; i < 4; ++i) enc.payload.push_back(static_cast<std::uint8_t>(forged >> (8 * i)));
+  EXPECT_THROW(static_cast<void>(MjpegCodec(50).decode(enc)), std::invalid_argument);
 }
 
 TEST(Mjpeg, RejectsNonBlockAlignedFrames) {
@@ -625,7 +666,7 @@ TEST(BioCodec, DecodeRejectsOverlongVarints) {
   // sixth byte is malformed.
   for (const std::uint8_t last : {0x10, 0x8f}) {
     enc.payload = {0x80, 0x80, 0x80, 0x80, last, 0x00};
-    EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::runtime_error) << int{last};
+    EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::invalid_argument) << int{last};
   }
 }
 
@@ -652,7 +693,7 @@ TEST(BioCodec, DecodeRejectsHuffmanCountBeyondTheBitstream) {
   for (std::size_t i = 0; i < 4; ++i) {
     enc.payload[256 + i] = static_cast<std::uint8_t>((forged >> (8 * i)) & 0xff);
   }
-  EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::runtime_error);
+  EXPECT_THROW(static_cast<void>(codec.decode(enc)), std::invalid_argument);
 }
 
 // ---- FFT ------------------------------------------------------------------------------

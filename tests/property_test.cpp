@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "comm/tdma.hpp"
 #include "comm/wir_link.hpp"
@@ -19,6 +24,7 @@
 #include "isa/huffman.hpp"
 #include "isa/metrics.hpp"
 #include "isa/mjpeg.hpp"
+#include "isa/mjpeg_delta.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/quantize.hpp"
 #include "partition/partitioner.hpp"
@@ -102,7 +108,7 @@ TEST_P(HuffmanProperty, RoundTripAndNearEntropyForRandomDistributions) {
   isa::BitWriter w;
   for (const auto s : message) codec.encode(s, w);
   const auto bytes = w.finish();
-  isa::BitReader r(bytes);
+  isa::BitReader r(bytes.data(), bytes.size());
   for (const auto s : message) ASSERT_EQ(codec.decode(r), s);
 }
 
@@ -203,6 +209,118 @@ TEST_P(BioCodecSignals, AlwaysLossless) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SignalClasses, BioCodecSignals, ::testing::Range(0, 5));
+
+// ---- Malformed wire bytes: every truncation and single-bit flip -------------------------
+
+/// One decoder's wire bytes and a call that decodes a (mutated) copy of them.
+struct WireCase {
+  std::vector<std::uint8_t> wire;
+  std::function<void(const std::vector<std::uint8_t>&)> decode;
+};
+
+isa::GrayFrame ramp_frame(int w, int h, int step) {
+  isa::GrayFrame f;
+  f.width = w;
+  f.height = h;
+  f.pixels.resize(static_cast<std::size_t>(w) * h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      f.pixels[static_cast<std::size_t>(y) * w + x] =
+          static_cast<std::uint8_t>((step * x + 5 * y + ((x * y * step) % 23)) & 0xff);
+    }
+  }
+  return f;
+}
+
+/// A delta-frame case in the given payload mode (0 = raw, 1 = Huffman):
+/// the decoder holds the key frame, then decodes the mutated delta frame.
+WireCase delta_case(int w, int h, int step, std::uint8_t mode) {
+  isa::MjpegDeltaEncoder enc(50);
+  isa::MjpegDeltaDecoder dec(50);
+  dec.decode_next(enc.encode_next(ramp_frame(w, h, 3)));
+  const isa::DeltaEncodedFrame delta = enc.encode_next(ramp_frame(w, h, step));
+  EXPECT_FALSE(delta.key);
+  EXPECT_EQ(delta.payload.at(0), mode);
+  return {delta.payload, [dec, delta](const std::vector<std::uint8_t>& w) {
+            isa::MjpegDeltaDecoder d = dec;
+            isa::DeltaEncodedFrame e = delta;
+            e.payload = w;
+            static_cast<void>(d.decode_next(e));
+          }};
+}
+
+WireCase wire_case(const std::string& name) {
+  std::vector<std::int16_t> pcm(41);
+  for (std::size_t i = 0; i < pcm.size(); ++i) {
+    pcm[i] = static_cast<std::int16_t>(9000.0 * std::sin(0.3 * static_cast<double>(i)));
+  }
+  if (name == "adpcm") {
+    const isa::AdpcmEncoded enc = isa::AdpcmCodec::encode(pcm);
+    return {enc.nibbles, [enc](const std::vector<std::uint8_t>& w) {
+              isa::AdpcmEncoded e = enc;
+              e.nibbles = w;
+              static_cast<void>(isa::AdpcmCodec::decode(e));
+            }};
+  }
+  if (name == "bio_raw" || name == "bio_huffman") {
+    const isa::BioCodec codec(name == "bio_huffman");
+    const isa::BioEncoded enc = codec.encode(pcm);
+    return {enc.payload, [codec, enc](const std::vector<std::uint8_t>& w) {
+              isa::BioEncoded e = enc;
+              e.payload = w;
+              static_cast<void>(codec.decode(e));
+            }};
+  }
+  if (name == "mjpeg_intra") {
+    const isa::MjpegCodec codec(50);
+    const isa::MjpegEncoded enc = codec.encode(ramp_frame(16, 16, 7));
+    return {enc.payload, [codec, enc](const std::vector<std::uint8_t>& w) {
+              isa::MjpegEncoded e = enc;
+              e.payload = w;
+              static_cast<void>(codec.decode(e));
+            }};
+  }
+  if (name == "mjpeg_delta_raw") return delta_case(32, 16, 4, 0);
+  if (name == "mjpeg_delta_huffman") return delta_case(32, 32, 9, 1);
+  // name == "activation": the int8 boundary activation with its header.
+  const nn::Shape shape{2, 3, 4};
+  std::vector<float> values(24);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 0.25f * static_cast<float>(i) - 2.0f;
+  const nn::QuantizedTensor q = nn::quantize(nn::Tensor::from_data(shape, values.data()));
+  return {nn::serialize_activation(q), [shape](const std::vector<std::uint8_t>& w) {
+            static_cast<void>(nn::deserialize_activation(w, shape));
+          }};
+}
+
+class MalformedWire : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MalformedWire, EveryTruncationAndBitFlipDecodesOrThrowsInvalidArgument) {
+  const WireCase c = wire_case(GetParam());
+  ASSERT_FALSE(c.wire.empty());
+  ASSERT_NO_THROW(c.decode(c.wire));
+  // Any exception but std::invalid_argument escapes and fails the test.
+  const auto decode_or_reject = [&c](const std::vector<std::uint8_t>& w) {
+    try {
+      c.decode(w);
+    } catch (const std::invalid_argument&) {
+    }
+  };
+  for (std::size_t n = 0; n < c.wire.size(); ++n) {
+    const std::vector<std::uint8_t> prefix(c.wire.begin(), c.wire.begin() + n);
+    EXPECT_NO_THROW(decode_or_reject(prefix)) << GetParam() << " prefix " << n;
+  }
+  std::vector<std::uint8_t> flipped = c.wire;
+  for (std::size_t bit = 0; bit < 8 * flipped.size(); ++bit) {
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_NO_THROW(decode_or_reject(flipped)) << GetParam() << " bit " << bit;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Decoders, MalformedWire,
+                         ::testing::Values("adpcm", "bio_raw", "bio_huffman", "mjpeg_intra",
+                                           "mjpeg_delta_raw", "mjpeg_delta_huffman",
+                                           "activation"));
 
 // ---- Partitioner dominance and monotonicity over link-energy grid ---------------------
 
