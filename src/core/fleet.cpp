@@ -12,7 +12,6 @@
 #include "common/expect.hpp"
 #include "common/table.hpp"
 #include "nn/model.hpp"
-#include "nn/quantize.hpp"
 #include "partition/adaptive_split.hpp"
 #include "partition/partitioner.hpp"
 
@@ -224,31 +223,6 @@ net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& 
   return cfg;
 }
 
-/// Rewrite a class's session for the split the node config above selected:
-/// the hub's share is the layer suffix (same recompute rule as
-/// `Hub::on_repartition`). Identity without a split.
-net::SessionConfig split_session_config(const FleetPoint& p, const NodeClassSpec& cls,
-                                        net::SessionConfig s) {
-  if (!class_splits(p, cls)) return s;
-  const nn::Model& net = *s.net;
-  const std::size_t k = initial_split_for(p, cls);
-  const auto& profiles = net.profiles();
-  std::uint64_t suffix_macs = 0;
-  std::uint64_t suffix_params = 0;
-  for (std::size_t i = k; i < net.layer_count(); ++i) {
-    suffix_macs += profiles[i].macs;
-    suffix_params += profiles[i].params;
-  }
-  const std::int64_t elems = k == 0 ? nn::shape_elems(net.input_shape())
-                                    : nn::shape_elems(profiles[k - 1].output_shape);
-  s.split_layers = k;
-  s.macs_per_inference = suffix_macs;
-  s.bytes_per_inference =
-      static_cast<std::uint64_t>(nn::activation_wire_bytes(elems, p.precision));
-  if (s.weight_bytes != 0) s.weight_bytes = suffix_params;  // 1 B/param, int8
-  return s;
-}
-
 }  // namespace
 
 net::NodeConfig fleet_node_config(const FleetPoint& p, int i) {
@@ -277,9 +251,11 @@ std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
     const std::string stream = cfg.stream;
     sim->add_node(std::move(cfg));
     if (cls.session) {
-      net::SessionConfig s = split_session_config(p, cls, *cls.session);
+      net::SessionConfig s = *cls.session;
       s.stream = stream;
       s.precision = p.precision;  // the precision axis reaches every session
+      // The hub's share of a split class is the layer suffix.
+      if (class_splits(p, cls)) net::apply_split(s, initial_split_for(p, cls));
       sim->add_session(std::move(s));
     }
   }

@@ -463,31 +463,30 @@ double Hub::execute_pass(const nn::Model& net, nn::Precision precision, std::uin
   return elapsed;
 }
 
+void apply_split(SessionConfig& cfg, std::size_t k) {
+  const nn::Model& net = *cfg.net;
+  IOB_EXPECTS(k <= net.layer_count(), "split point out of range");
+  const auto& profiles = net.profiles();
+  std::uint64_t suffix_macs = 0;
+  std::uint64_t suffix_params = 0;
+  for (std::size_t i = k; i < net.layer_count(); ++i) {
+    suffix_macs += profiles[i].macs;
+    suffix_params += profiles[i].params;
+  }
+  cfg.split_layers = k;
+  cfg.macs_per_inference = suffix_macs;
+  cfg.bytes_per_inference = static_cast<std::uint64_t>(
+      nn::activation_wire_bytes(pass_input_elems(net, k), cfg.precision));
+  if (cfg.weight_bytes != 0) cfg.weight_bytes = suffix_params;
+}
+
 void Hub::on_repartition(const std::string& stream, std::size_t split_at) {
   const auto it = session_index_.find(stream);
   if (it == session_index_.end()) return;
   Session& sess = sessions_[it->second];
   SessionConfig cfg = sess.cfg;
   if (cfg.net == nullptr) return;  // nothing to recompute the suffix from
-  const nn::Model& net = *cfg.net;
-  IOB_EXPECTS(split_at <= net.layer_count(), "repartition split point out of range");
-
-  // The hub's share of the work moves with the boundary: suffix MACs, the
-  // suffix's int8 weight footprint (1 B/param; only when weight traffic was
-  // modelled to begin with), and the boundary-activation window size.
-  const auto& profiles = net.profiles();
-  std::uint64_t suffix_macs = 0;
-  std::uint64_t suffix_params = 0;
-  for (std::size_t i = split_at; i < net.layer_count(); ++i) {
-    suffix_macs += profiles[i].macs;
-    suffix_params += profiles[i].params;
-  }
-  cfg.split_layers = split_at;
-  cfg.macs_per_inference = suffix_macs;
-  cfg.bytes_per_inference =
-      static_cast<std::uint64_t>(nn::activation_wire_bytes(pass_input_elems(net, split_at),
-                                                           cfg.precision));
-  if (cfg.weight_bytes != 0) cfg.weight_bytes = suffix_params;
+  apply_split(cfg, split_at);
 
   // A partial window staged at the old boundary size can never complete at
   // the new one — purge it and attribute the loss instead of silently

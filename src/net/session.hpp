@@ -13,6 +13,7 @@
 /// `weight_cost / N + per_sample_cost` — the server-side batching
 /// amortization, on-body.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -58,15 +59,21 @@ struct SessionConfig {
   /// Split execution (docs/architecture.md): first model layer the hub runs.
   /// 0 (the default) keeps the whole-model path bit-identical. When > 0 the
   /// leaf executes layers [0, split_layers) and ships the boundary
-  /// activation (`nn::activation_wire_bytes`-sized — the caller sets
-  /// `bytes_per_inference` to that wire size, `macs_per_inference` to the
-  /// suffix MACs, and `weight_bytes` to the suffix footprint); under
+  /// activation (`apply_split` sets the suffix's sizes); under
   /// execute-and-meter the hub resumes at this layer via `run_range_into`.
   /// For int8 metered sessions the boundary must be feasible
   /// (`QuantizedModel::feasible_boundary` — not inside a fused conv+relu
   /// pair); `Hub::add_session` enforces it.
   std::size_t split_layers = 0;
 };
+
+/// Move `cfg`'s split to layer `k` of `*cfg.net` (non-null, k <= layer
+/// count). The hub's share follows the boundary: `macs_per_inference`
+/// becomes the suffix MACs, `weight_bytes` the suffix's int8 footprint
+/// (1 B/param; only when weight traffic is modelled, i.e. non-zero), and
+/// `bytes_per_inference` the boundary activation's wire size at
+/// `cfg.precision` (`nn::activation_wire_bytes`).
+void apply_split(SessionConfig& cfg, std::size_t k);
 
 struct SessionStats {
   std::uint64_t bytes_in = 0;
