@@ -117,6 +117,23 @@ TEST(MjpegDelta, DecoderRejectsDeltaBeforeKey) {
   EXPECT_THROW(dec.decode_next(bogus), std::invalid_argument);
 }
 
+TEST(MjpegDelta, DecoderRejectsSkipPastTheFrame) {
+  isa::GrayFrame f;
+  f.width = 16;
+  f.height = 8;
+  f.pixels.assign(128, 100);
+  isa::MjpegDeltaEncoder enc(50);
+  isa::MjpegDeltaDecoder dec(50);
+  dec.decode_next(enc.encode_next(f));
+  isa::DeltaEncodedFrame delta;
+  delta.width = 16;
+  delta.height = 8;
+  // Raw tokens: skip 0, one coded block (DC 1, EOB), then a skip of
+  // INT32_MAX blocks, which must not wrap the block index.
+  delta.payload = {0, 0x00, 0x02, 0x3f, 0xfe, 0xff, 0xff, 0xff, 0x0f};
+  EXPECT_THROW(dec.decode_next(delta), std::invalid_argument);
+}
+
 TEST(MjpegDelta, ResetRestartsWithKeyFrame) {
   workload::VideoGenerator gen;
   sim::Rng rng(5);

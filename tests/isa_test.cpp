@@ -334,6 +334,24 @@ TEST(Mjpeg, DecodeRejectsVarintBitsAbove31) {
                std::invalid_argument);
 }
 
+TEST(Mjpeg, DecodeRejectsDcOverflow) {
+  // Two blocks, each with DC delta 2^30: the running DC would reach 2^31.
+  MjpegEncoded enc = mjpeg_stream(
+      {0x80, 0x80, 0x80, 0x80, 0x08, 0x3f, 0x80, 0x80, 0x80, 0x80, 0x08, 0x3f});
+  enc.width = 16;
+  EXPECT_THROW(static_cast<void>(MjpegCodec(50).decode(enc)), std::invalid_argument);
+}
+
+TEST(Mjpeg, DecodeRejectsDimsTheStreamCannotFill) {
+  // One block's tokens (DC 1, EOB) cannot fill two blocks, and empty or
+  // negative dims describe no frame.
+  MjpegEncoded enc = mjpeg_stream({0x02, 0x3f});
+  for (const int width : {16, 0, -8}) {
+    enc.width = width;
+    EXPECT_THROW(static_cast<void>(MjpegCodec(50).decode(enc)), std::invalid_argument) << width;
+  }
+}
+
 TEST(Mjpeg, DecodeRejectsTokenCountBeyondTheBitstream) {
   // A valid table (every symbol 8 bits long), a count of 2^24 tokens and
   // no bitstream at all: the count is forged and must not size a buffer.
