@@ -1,15 +1,19 @@
 // Unit tests for the fleet harness (core::Fleet): exhaustive, ordered grid
-// expansion; byte-identical parallel runs at 1/2/8 threads; and marginal
-// aggregates checked against hand-computed values on a tiny 2x2 grid.
+// expansion; byte-identical parallel runs at 1/2/8 threads; marginal
+// aggregates checked against hand-computed values on a tiny 2x2 grid; and a
+// pinned digest of a grid that varies all twelve axes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
+#include "nn/model_zoo.hpp"
 
 namespace iob {
 namespace {
@@ -258,6 +262,111 @@ TEST(Fleet, SummaryMatchesHandComputedAggregatesOn2x2Grid) {
   double goodput_all = 0.0;
   for (const auto& r : results) goodput_all += r.report.aggregate_goodput_bps;
   EXPECT_DOUBLE_EQ(summary.overall.mean_goodput_bps, goodput_all / 4.0);
+}
+
+// ---- golden digest over every axis -------------------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The KWS model the golden grid's sessions run; zoo models are value
+/// types, so it lives in a function-local static that outlives every point.
+const nn::Model& golden_model() {
+  static const nn::Model m = nn::make_kws_dscnn();
+  return m;
+}
+
+/// A grid with two or more values on every one of the twelve axes: fixed and
+/// adaptive splits, combined faults, the gym interference level, the running
+/// wearer and WiR-ULP on auto-sized slots.
+core::FleetAxes golden_axes() {
+  core::NodeClassSpec audio;
+  audio.base.name = "audio";
+  audio.base.sense_power_w = 150e-6;
+  audio.base.output_rate_bps = 64e3;
+  audio.base.slot_weight = 2;
+  audio.base.settle_period_s = 0.05;
+  audio.base.degradation = net::DegradationConfig{};
+  net::SessionConfig kws;
+  kws.macs_per_inference = 2'500'000;
+  kws.bytes_per_inference = 2'000;
+  kws.model = "kws-dscnn";
+  kws.weight_bytes = 22'604;
+  kws.net = &golden_model();
+  audio.session = kws;
+  core::NodeClassSpec bio;
+  bio.base.name = "bio";
+  bio.base.sense_power_w = 8e-6;
+  bio.base.output_rate_bps = 5e3;
+  bio.base.settle_period_s = 0.05;
+  bio.share = 2;
+  core::NodeClassSpec stress;  // drains in a fraction of the run: brownouts
+  stress.base.name = "stress";
+  stress.base.sense_power_w = 8e-6;
+  stress.base.isa_power_w = 3e-3;
+  stress.base.output_rate_bps = 5e3;
+  stress.base.battery_mah = 2e-5;
+  stress.base.settle_period_s = 0.02;
+  energy::HarvesterParams teg;
+  teg.mean_power_w = 1.5e-3;
+  teg.availability = 1.0;
+  teg.relative_sigma = 0.0;
+  stress.base.harvester = teg;
+
+  core::FleetAxes axes;
+  axes.node_counts = {2, 3};
+  comm::TdmaConfig auto_slot;
+  auto_slot.slot_s = 0.0;
+  comm::TdmaConfig auto_wide = auto_slot;
+  auto_wide.auto_slot_margin = 2.0;
+  axes.macs = {{"auto", auto_slot}, {"auto-wide", auto_wide}};
+  axes.mixes = {{"audio+bio", {audio, bio}}, {"bio+stress", {bio, stress}}};
+  energy::HarvesterParams pv;
+  pv.mean_power_w = 50e-6;
+  axes.harvests = {{"none", std::nullopt}, {"pv", pv}};
+  axes.buses = {core::BusKind::kWiR, core::BusKind::kWiRUlp};
+  axes.batch_windows = {0, 1};
+  axes.precisions = {nn::Precision::kF32, nn::Precision::kInt8};
+  axes.faults = {core::FaultVariant::kNone, core::FaultVariant::kCombined};
+  core::SplitVariant half;
+  half.label = "half";
+  half.enabled = true;
+  half.leaf_fraction = 0.5;
+  core::SplitVariant adaptive;
+  adaptive.label = "adaptive";
+  adaptive.enabled = true;
+  adaptive.adaptive = true;
+  adaptive.mission_time_s = 86400.0;
+  axes.splits = {{}, half, adaptive};
+  axes.sir_levels = {{}, {"gym", {2, 1.0, -5.3, 20.0}}};
+  axes.motion = {{}, {"running", true, phy::running_profile()}};
+  axes.seeds = {7, 9};
+  axes.duration_s = 0.25;
+  return axes;
+}
+
+TEST(Fleet, GoldenDigestOverEveryAxis) {
+  // Pins the bytes of a grid that varies every axis, so a refactor of the
+  // fleet builder, the network simulation or anything below them must keep
+  // every serialized bit. The CSV prints doubles round-trip exact, so the
+  // digest also pins the host libm's results (glibc on x86-64 here).
+  const core::Fleet fleet(golden_axes());
+  ASSERT_EQ(fleet.size(), 6144u);
+  const std::vector<core::FleetPointResult> results = fleet.run(core::SweepRunner(4));
+  const std::string csv = core::fleet_results_csv(results);
+  const std::string summary = fleet.summarize(results).to_string();
+  // Every non-default axis value left its mark.
+  for (const char* tag : {":f1", ":s1", ":s2", ":i1", ":m1", ":spl:", ":flt:"}) {
+    EXPECT_NE(csv.find(tag), std::string::npos) << tag;
+  }
+  EXPECT_EQ(fnv1a(csv), 0x17a1d0b11f147dc2ULL);
+  EXPECT_EQ(fnv1a(summary), 0x456490c84fe17b50ULL);
 }
 
 // ---- owning-link NetworkSim -------------------------------------------------
