@@ -52,32 +52,13 @@ bool cpu_has_avx512_vnni() {
 }
 #endif
 
-/// Fused-tail context handed to the tile kernels on the final K block:
-/// `scale`/`shift` are pre-offset to the tile's first column. A nullptr
-/// context means "no tail on this call" (earlier K blocks, or
-/// GemmTail::Kind::kNone).
-struct TailCtx {
-  GemmTail::Kind kind = GemmTail::Kind::kNone;
-  float cap = 0.0f;
-  const float* scale = nullptr;
-  const float* shift = nullptr;
-};
-
-/// `tail` with its per-column arrays offset to column `n`.
-inline TailCtx tail_at(const GemmTail& tail, std::int64_t n) {
-  return TailCtx{tail.kind, tail.cap, tail.scale != nullptr ? tail.scale + n : nullptr,
-                 tail.shift != nullptr ? tail.shift + n : nullptr};
-}
-
 /// The scalar tail op: the exact per-element expressions of
-/// `Relu::forward_into` / `BatchNorm::forward_into` (column j of the tile).
-inline float apply_tail(const TailCtx& t, float v, std::int64_t j) {
-  if (t.kind == GemmTail::Kind::kRelu) {
-    v = std::max(0.0f, v);
-    if (t.cap > 0.0f) v = std::min(t.cap, v);
-    return v;
-  }
-  return t.scale[j] * v + t.shift[j];
+/// `Relu::forward_into`. The kernels below take the tail as a pointer that
+/// is non-null only when it applies (final K block, `GemmTail::Kind::kRelu`).
+inline float apply_tail(const GemmTail& t, float v) {
+  v = std::max(0.0f, v);
+  if (t.cap > 0.0f) v = std::min(t.cap, v);
+  return v;
 }
 
 // The tile kernels below accumulate `kc` terms of A*B into a kMr-row C
@@ -90,21 +71,18 @@ inline float apply_tail(const TailCtx& t, float v, std::int64_t j) {
 // in registers so the k loop runs ~2 ops per vector of MACs.
 
 #if IOB_GEMM_SSE2
-/// Lane-wise `apply_tail` over columns [j, j + 4). max/min match
-/// std::max(0, v) / std::min(cap, v) lane-for-lane on the finite
-/// activations the engine traffics in; batchnorm is the same mul then add.
-inline __m128 tail_ps(const TailCtx& t, __m128 v, std::int64_t j) {
-  if (t.kind == GemmTail::Kind::kRelu) {
-    v = _mm_max_ps(_mm_setzero_ps(), v);
-    return t.cap > 0.0f ? _mm_min_ps(_mm_set1_ps(t.cap), v) : v;
-  }
-  return _mm_add_ps(_mm_mul_ps(_mm_loadu_ps(t.scale + j), v), _mm_loadu_ps(t.shift + j));
+/// Lane-wise `apply_tail` over 4 columns. max/min match std::max(0, v) /
+/// std::min(cap, v) lane-for-lane on the finite activations the engine
+/// traffics in.
+inline __m128 tail_ps(const GemmTail& t, __m128 v) {
+  v = _mm_max_ps(_mm_setzero_ps(), v);
+  return t.cap > 0.0f ? _mm_min_ps(_mm_set1_ps(t.cap), v) : v;
 }
 
 /// kMr x kNr SSE2 tile: the 4x8 accumulator block lives in eight xmm
 /// registers across the k loop.
 void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b, std::int64_t N,
-                float* c, const float* bias, bool first, const TailCtx* tail) {
+                float* c, const float* bias, bool first, const GemmTail* tail) {
   static_assert(kMr == 4 && kNr == 8, "micro_tile is written for a 4x8 register tile");
   __m128 acc[kMr][2];
   for (int i = 0; i < kMr; ++i) {
@@ -126,14 +104,14 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
   }
   for (int i = 0; i < kMr; ++i) {
     for (int h = 0; h < 2; ++h) {
-      if (tail != nullptr) acc[i][h] = tail_ps(*tail, acc[i][h], 4 * h);
+      if (tail != nullptr) acc[i][h] = tail_ps(*tail, acc[i][h]);
       _mm_storeu_ps(c + i * N + 4 * h, acc[i][h]);
     }
   }
 }
 #else
 void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b, std::int64_t N,
-                float* c, const float* bias, bool first, const TailCtx* tail) {
+                float* c, const float* bias, bool first, const GemmTail* tail) {
   float acc[kMr][kNr];
   for (int i = 0; i < kMr; ++i) {
     for (int j = 0; j < kNr; ++j) {
@@ -149,7 +127,7 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
   }
   if (tail != nullptr) {
     for (int i = 0; i < kMr; ++i) {
-      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j], j);
+      for (int j = 0; j < kNr; ++j) acc[i][j] = apply_tail(*tail, acc[i][j]);
     }
   }
   for (int i = 0; i < kMr; ++i) {
@@ -163,14 +141,9 @@ void micro_tile(std::int64_t kc, const float* a, std::int64_t K, const float* b,
 constexpr std::int64_t kNrF2 = 16;
 
 /// 256-bit `tail_ps` (same lane ops).
-__attribute__((target("avx2"))) inline __m256 tail_ps256(const TailCtx& t, __m256 v,
-                                                         std::int64_t j) {
-  if (t.kind == GemmTail::Kind::kRelu) {
-    v = _mm256_max_ps(_mm256_setzero_ps(), v);
-    return t.cap > 0.0f ? _mm256_min_ps(_mm256_set1_ps(t.cap), v) : v;
-  }
-  return _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(t.scale + j), v),
-                       _mm256_loadu_ps(t.shift + j));
+__attribute__((target("avx2"))) inline __m256 tail_ps256(const GemmTail& t, __m256 v) {
+  v = _mm256_max_ps(_mm256_setzero_ps(), v);
+  return t.cap > 0.0f ? _mm256_min_ps(_mm256_set1_ps(t.cap), v) : v;
 }
 
 /// kMr x kNrF2 AVX2 tile: eight ymm accumulators, twice the SSE2 tile's
@@ -178,7 +151,7 @@ __attribute__((target("avx2"))) inline __m256 tail_ps256(const TailCtx& t, __m25
 __attribute__((target("avx2"))) void micro_tile_avx2(std::int64_t kc, const float* a,
                                                      std::int64_t K, const float* b,
                                                      std::int64_t N, float* c, const float* bias,
-                                                     bool first, const TailCtx* tail) {
+                                                     bool first, const GemmTail* tail) {
   static_assert(kMr == 4, "micro_tile_avx2 is written for 4 rows");
   __m256 acc[kMr][2];
   for (int i = 0; i < kMr; ++i) {
@@ -200,7 +173,7 @@ __attribute__((target("avx2"))) void micro_tile_avx2(std::int64_t kc, const floa
   }
   for (int i = 0; i < kMr; ++i) {
     for (int h = 0; h < 2; ++h) {
-      if (tail != nullptr) acc[i][h] = tail_ps256(*tail, acc[i][h], 8 * h);
+      if (tail != nullptr) acc[i][h] = tail_ps256(*tail, acc[i][h]);
       _mm256_storeu_ps(c + i * N + 8 * h, acc[i][h]);
     }
   }
@@ -217,14 +190,9 @@ __attribute__((target("avx2"))) void micro_tile_avx2(std::int64_t kc, const floa
 constexpr std::int64_t kNrF3 = 32;
 
 /// 512-bit `tail_ps` (same lane ops).
-__attribute__((target("avx2,avx512f"))) inline __m512 tail_ps512(const TailCtx& t, __m512 v,
-                                                                 std::int64_t j) {
-  if (t.kind == GemmTail::Kind::kRelu) {
-    v = _mm512_max_ps(_mm512_setzero_ps(), v);
-    return t.cap > 0.0f ? _mm512_min_ps(_mm512_set1_ps(t.cap), v) : v;
-  }
-  return _mm512_add_ps(_mm512_mul_ps(_mm512_loadu_ps(t.scale + j), v),
-                       _mm512_loadu_ps(t.shift + j));
+__attribute__((target("avx2,avx512f"))) inline __m512 tail_ps512(const GemmTail& t, __m512 v) {
+  v = _mm512_max_ps(_mm512_setzero_ps(), v);
+  return t.cap > 0.0f ? _mm512_min_ps(_mm512_set1_ps(t.cap), v) : v;
 }
 
 /// kMr x kNrF3 AVX-512 tile: eight zmm accumulators, four times the SSE2
@@ -233,7 +201,7 @@ __attribute__((target("avx2,avx512f"))) void micro_tile_avx512(std::int64_t kc, 
                                                                std::int64_t K, const float* b,
                                                                std::int64_t N, float* c,
                                                                const float* bias, bool first,
-                                                               const TailCtx* tail) {
+                                                               const GemmTail* tail) {
   static_assert(kMr == 4, "micro_tile_avx512 is written for 4 rows");
   __m512 acc[kMr][2];
   for (int i = 0; i < kMr; ++i) {
@@ -255,7 +223,7 @@ __attribute__((target("avx2,avx512f"))) void micro_tile_avx512(std::int64_t kc, 
   }
   for (int i = 0; i < kMr; ++i) {
     for (int h = 0; h < 2; ++h) {
-      if (tail != nullptr) acc[i][h] = tail_ps512(*tail, acc[i][h], 16 * h);
+      if (tail != nullptr) acc[i][h] = tail_ps512(*tail, acc[i][h]);
       _mm512_storeu_ps(c + i * N + 16 * h, acc[i][h]);
     }
   }
@@ -269,13 +237,13 @@ __attribute__((target("avx2,avx512f"))) void micro_tile_avx512(std::int64_t kc, 
 /// Scalar edge path for the M/N remainders, same accumulation order.
 void edge_tile(std::int64_t rows, std::int64_t cols, std::int64_t kc, const float* a,
                std::int64_t K, const float* b, std::int64_t N, float* c, const float* bias,
-               bool first, const TailCtx* tail) {
+               bool first, const GemmTail* tail) {
   for (std::int64_t i = 0; i < rows; ++i) {
     for (std::int64_t j = 0; j < cols; ++j) {
       float acc = first ? (bias != nullptr ? bias[j] : 0.0f) : c[i * N + j];
       const float* arow = a + i * K;
       for (std::int64_t k = 0; k < kc; ++k) acc += arow[k] * b[k * N + j];
-      if (tail != nullptr) acc = apply_tail(*tail, acc, j);
+      if (tail != nullptr) acc = apply_tail(*tail, acc);
       c[i * N + j] = acc;
     }
   }
@@ -306,9 +274,6 @@ void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float*
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
                   const float* bias, float* C, const GemmTail& tail) {
   IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
-  IOB_EXPECTS(tail.kind != GemmTail::Kind::kBatchNorm ||
-                  (tail.scale != nullptr && tail.shift != nullptr),
-              "batchnorm tail needs scale and shift");
 #if IOB_GEMM_AVX2_DISPATCH
   const bool avx2 = cpu_has_avx2();
   const bool avx512 = cpu_has_avx512();
@@ -316,7 +281,7 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
   for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
     const std::int64_t kc = std::min(kKc, K - k0);
     const bool first = k0 == 0;
-    const bool tailed = k0 + kc == K && tail.kind != GemmTail::Kind::kNone;
+    const GemmTail* t = k0 + kc == K && tail.kind != GemmTail::Kind::kNone ? &tail : nullptr;
     const float* bk = B + k0 * N;
     std::int64_t m = 0;
     for (; m + kMr <= M; m += kMr) {
@@ -326,34 +291,27 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
 #if IOB_GEMM_AVX2_DISPATCH
       if (avx512) {
         for (; n + kNrF3 <= N; n += kNrF3) {
-          const TailCtx t = tail_at(tail, n);
           micro_tile_avx512(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr,
-                            first, tailed ? &t : nullptr);
+                            first, t);
         }
       }
       if (avx2) {
         for (; n + kNrF2 <= N; n += kNrF2) {
-          const TailCtx t = tail_at(tail, n);
           micro_tile_avx2(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr,
-                          first, tailed ? &t : nullptr);
+                          first, t);
         }
       }
 #endif
       for (; n + kNr <= N; n += kNr) {
-        const TailCtx t = tail_at(tail, n);
-        micro_tile(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first,
-                   tailed ? &t : nullptr);
+        micro_tile(kc, am, K, bk + n, N, cm + n, bias != nullptr ? bias + n : nullptr, first, t);
       }
       if (n < N) {
-        const TailCtx t = tail_at(tail, n);
         edge_tile(kMr, N - n, kc, am, K, bk + n, N, cm + n,
-                  bias != nullptr ? bias + n : nullptr, first, tailed ? &t : nullptr);
+                  bias != nullptr ? bias + n : nullptr, first, t);
       }
     }
     if (m < M) {
-      const TailCtx t = tail_at(tail, 0);
-      edge_tile(M - m, N, kc, A + m * K + k0, K, bk, N, C + m * N, bias, first,
-                tailed ? &t : nullptr);
+      edge_tile(M - m, N, kc, A + m * K + k0, K, bk, N, C + m * N, bias, first, t);
     }
   }
 }
@@ -427,7 +385,7 @@ struct DwConv {
   const float* w;  ///< [k * k][c] repacked weights
   const float* bias;
   float* out;
-  const TailCtx* tail;  ///< fused Relu/BatchNorm, nullptr = none
+  const GemmTail* tail;  ///< fused Relu, nullptr = none
 
   struct Pixel {
     const DwConv& g;
@@ -464,7 +422,7 @@ struct DwConv {
 /// the taps. Every tier finishes its pixels here, so a given channel runs
 /// the same tail ops (vector or scalar) at every tier.
 inline void dw_pixel_rest(const DwConv::Pixel& p, int ch) {
-  const TailCtx* t = p.g.tail;
+  const GemmTail* t = p.g.tail;
 #if IOB_GEMM_SSE2
   for (; ch + 4 <= p.g.c; ch += 4) {
     __m128 acc = _mm_loadu_ps(p.g.bias + ch);
@@ -474,7 +432,7 @@ inline void dw_pixel_rest(const DwConv::Pixel& p, int ch) {
                                          _mm_loadu_ps(p.input(ky, kx, ch))));
       }
     }
-    if (t != nullptr) acc = tail_ps(*t, acc, ch);
+    if (t != nullptr) acc = tail_ps(*t, acc);
     _mm_storeu_ps(p.out + ch, acc);
   }
 #endif
@@ -483,7 +441,7 @@ inline void dw_pixel_rest(const DwConv::Pixel& p, int ch) {
     for (int ky = p.ky0; ky < p.ky1; ++ky) {
       for (int kx = p.kx0; kx < p.kx1; ++kx) acc += *p.weight(ky, kx, ch) * *p.input(ky, kx, ch);
     }
-    if (t != nullptr) acc = apply_tail(*t, acc, ch);
+    if (t != nullptr) acc = apply_tail(*t, acc);
     p.out[ch] = acc;
   }
 }
@@ -499,7 +457,7 @@ __attribute__((target("avx2"))) inline void dw_pixel_avx2(const DwConv::Pixel& p
                                                _mm256_loadu_ps(p.input(ky, kx, ch))));
       }
     }
-    if (p.g.tail != nullptr) acc = tail_ps256(*p.g.tail, acc, ch);
+    if (p.g.tail != nullptr) acc = tail_ps256(*p.g.tail, acc);
     _mm256_storeu_ps(p.out + ch, acc);
   }
   dw_pixel_rest(p, ch);
@@ -533,7 +491,7 @@ __attribute__((target("avx2,avx512f"))) void dwconv2d_avx512(const DwConv& g, in
                                                      _mm512_loadu_ps(p.input(ky, kx, ch))));
             }
           }
-          if (g.tail != nullptr) acc = tail_ps512(*g.tail, acc, ch);
+          if (g.tail != nullptr) acc = tail_ps512(*g.tail, acc);
           _mm512_storeu_ps(p.out + ch, acc);
         }
         dw_pixel_avx2(p, ch);
@@ -552,12 +510,8 @@ __attribute__((target("avx2,avx512f"))) void dwconv2d_avx512(const DwConv& g, in
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
                    float* out, const GemmTail& tail) {
-  IOB_EXPECTS(tail.kind != GemmTail::Kind::kBatchNorm ||
-                  (tail.scale != nullptr && tail.shift != nullptr),
-              "batchnorm tail needs scale and shift");
-  const TailCtx t = tail_at(tail, 0);
   const DwConv g{ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, wpacked, bias, out,
-                 tail.kind != GemmTail::Kind::kNone ? &t : nullptr};
+                 tail.kind != GemmTail::Kind::kNone ? &tail : nullptr};
 #if IOB_GEMM_AVX2_DISPATCH
   if (cpu_has_avx512()) return dwconv2d_avx512(g, batch);
   if (cpu_has_avx2()) return dwconv2d_avx2(g, batch);

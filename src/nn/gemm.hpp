@@ -42,15 +42,12 @@ void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float*
 /// Elementwise tail fused into the GEMM epilogue: applied to each C element
 /// on the final K block, while the accumulator tile is still in registers,
 /// so a fused producer+tail pair skips one workspace ping-pong hop. The
-/// operations are the exact per-element expressions of `Relu::forward_into`
-/// and `BatchNorm::forward_into`, so fused results stay bit-exact vs
-/// running the tail as its own layer pass.
+/// operations are the exact per-element expressions of `Relu::forward_into`,
+/// so fused results stay bit-exact vs running the ReLU as its own layer pass.
 struct GemmTail {
-  enum class Kind { kNone, kRelu, kBatchNorm };
+  enum class Kind { kNone, kRelu };
   Kind kind = Kind::kNone;
-  float cap = 0.0f;              ///< relu clamp (<= 0 = uncapped)
-  const float* scale = nullptr;  ///< batchnorm per-column scale [N]
-  const float* shift = nullptr;  ///< batchnorm per-column shift [N]
+  float cap = 0.0f;  ///< relu clamp (<= 0 = uncapped)
 };
 
 /// C[M x N] = bias (broadcast per column, nullptr = 0) + A[M x K] * B[K x N],
@@ -74,8 +71,8 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
 /// over contiguous weight and input lanes). Out-of-range taps are skipped,
 /// matching the seed loop tap-for-tap: each channel starts from its bias
 /// and adds the in-range taps in (ky, kx) order, in a register. An optional
-/// fused `tail` (Relu or BatchNorm over the c channels) is applied before
-/// the store, bit-exact vs running it as its own pass.
+/// fused ReLU `tail` is applied before the store, bit-exact vs running it as
+/// its own pass.
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
                    float* out, const GemmTail& tail = {});

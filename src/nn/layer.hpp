@@ -47,13 +47,11 @@ class Layer {
     return 0;
   }
 
-  /// Describe this layer as a fusable elementwise GEMM-epilogue tail over
-  /// `channels` output columns (the producer's trailing dim). Relu and
-  /// BatchNorm override it; everything else is not a tail. Returning true
-  /// fills `tail`; the fused pair is bit-exact vs running the tail as its
-  /// own pass, so `Model::run_into` fuses whenever both sides agree.
-  [[nodiscard]] virtual bool gemm_tail(int channels, GemmTail& tail) const {
-    (void)channels;
+  /// Describe this layer as a fusable elementwise GEMM-epilogue tail. Relu
+  /// overrides it; everything else is not a tail. Returning true fills
+  /// `tail`; the fused pair is bit-exact vs running the tail as its own
+  /// pass, so `Model::run_into` fuses whenever both sides agree.
+  [[nodiscard]] virtual bool gemm_tail(GemmTail& tail) const {
     (void)tail;
     return false;
   }

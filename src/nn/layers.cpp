@@ -121,8 +121,7 @@ void Relu::forward_into(const float* in, const Shape& in_shape, int batch, float
   }
 }
 
-bool Relu::gemm_tail(int channels, GemmTail& tail) const {
-  (void)channels;  // relu is channel-agnostic
+bool Relu::gemm_tail(GemmTail& tail) const {
   tail.kind = GemmTail::Kind::kRelu;
   tail.cap = cap_;
   return true;
@@ -136,84 +135,6 @@ std::uint64_t Relu::macs(const Shape& input) const {
 }
 
 std::string Relu::describe() const { return cap_ > 0.0f ? "relu6" : "relu"; }
-
-// ---- Pool2D -----------------------------------------------------------------
-
-Pool2D::Pool2D(PoolKind kind, int kernel, int stride) : kind_(kind), kernel_(kernel), stride_(stride) {
-  IOB_EXPECTS(kernel_ >= 1 && stride_ >= 1, "pool kernel/stride must be positive");
-}
-
-Shape Pool2D::output_shape(const Shape& input) const {
-  IOB_EXPECTS(input.size() == 3, "pool2d expects HWC input");
-  IOB_EXPECTS(input[0] >= kernel_ && input[1] >= kernel_, "pool kernel exceeds input");
-  const int oh = (input[0] - kernel_) / stride_ + 1;
-  const int ow = (input[1] - kernel_) / stride_ + 1;
-  return Shape{oh, ow, input[2]};
-}
-
-Tensor Pool2D::forward_reference(const Tensor& input) const {
-  const Shape os = output_shape(input.shape());
-  Tensor out(os);
-  const int c = input.shape()[2];
-  for (int oy = 0; oy < os[0]; ++oy) {
-    for (int ox = 0; ox < os[1]; ++ox) {
-      for (int ch = 0; ch < c; ++ch) {
-        float acc = kind_ == PoolKind::kMax ? -std::numeric_limits<float>::infinity() : 0.0f;
-        for (int ky = 0; ky < kernel_; ++ky) {
-          for (int kx = 0; kx < kernel_; ++kx) {
-            const float v = input.at(oy * stride_ + ky, ox * stride_ + kx, ch);
-            acc = kind_ == PoolKind::kMax ? std::max(acc, v) : acc + v;
-          }
-        }
-        if (kind_ == PoolKind::kAvg) acc /= static_cast<float>(kernel_ * kernel_);
-        out.at(oy, ox, ch) = acc;
-      }
-    }
-  }
-  return out;
-}
-
-void Pool2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                          Workspace& ws) const {
-  (void)ws;
-  IOB_EXPECTS(in_shape.size() == 3, "pool2d expects HWC input");
-  IOB_EXPECTS(in_shape[0] >= kernel_ && in_shape[1] >= kernel_, "pool kernel exceeds input");
-  const int ih = in_shape[0], iw = in_shape[1], c = in_shape[2];
-  const int oh = (ih - kernel_) / stride_ + 1;
-  const int ow = (iw - kernel_) / stride_ + 1;
-  const std::int64_t in_sample = static_cast<std::int64_t>(ih) * iw * c;
-  for (int s = 0; s < batch; ++s) {
-    const float* ib = in + s * in_sample;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        for (int ch = 0; ch < c; ++ch) {
-          float acc = kind_ == PoolKind::kMax ? -std::numeric_limits<float>::infinity() : 0.0f;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const float v = ib[(static_cast<std::int64_t>(oy * stride_ + ky) * iw +
-                                 (ox * stride_ + kx)) * c + ch];
-              acc = kind_ == PoolKind::kMax ? std::max(acc, v) : acc + v;
-            }
-          }
-          if (kind_ == PoolKind::kAvg) acc /= static_cast<float>(kernel_ * kernel_);
-          *out++ = acc;
-        }
-      }
-    }
-  }
-}
-
-std::uint64_t Pool2D::macs(const Shape& input) const {
-  const Shape os = output_shape(input);
-  return static_cast<std::uint64_t>(shape_elems(os)) * kernel_ * kernel_;
-}
-
-std::string Pool2D::describe() const {
-  std::ostringstream os;
-  os << (kind_ == PoolKind::kMax ? "maxpool " : "avgpool ") << kernel_ << "x" << kernel_ << " s"
-     << stride_;
-  return os.str();
-}
 
 // ---- GlobalAvgPool ----------------------------------------------------------
 
@@ -260,99 +181,6 @@ std::uint64_t GlobalAvgPool::macs(const Shape& input) const {
 }
 
 std::string GlobalAvgPool::describe() const { return "global-avgpool"; }
-
-// ---- Flatten ----------------------------------------------------------------
-
-Tensor Flatten::forward_reference(const Tensor& input) const {
-  return input.reshaped(Shape{static_cast<int>(input.size())});
-}
-
-void Flatten::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                           Workspace& ws) const {
-  (void)ws;
-  const std::int64_t total = shape_elems(in_shape) * batch;
-  std::memcpy(out, in, static_cast<std::size_t>(total) * sizeof(float));
-}
-
-Shape Flatten::output_shape(const Shape& input) const {
-  return Shape{static_cast<int>(shape_elems(input))};
-}
-
-// ---- BatchNorm --------------------------------------------------------------
-
-BatchNorm::BatchNorm(std::vector<float> scale, std::vector<float> shift)
-    : scale_(std::move(scale)), shift_(std::move(shift)) {
-  IOB_EXPECTS(!scale_.empty() && scale_.size() == shift_.size(),
-              "batchnorm scale/shift must be non-empty and equal-sized");
-}
-
-BatchNorm BatchNorm::fold(const std::vector<float>& gamma, const std::vector<float>& beta,
-                          const std::vector<float>& mean, const std::vector<float>& variance,
-                          float eps) {
-  IOB_EXPECTS(gamma.size() == beta.size() && beta.size() == mean.size() &&
-                  mean.size() == variance.size(),
-              "batchnorm statistics must be equal-sized");
-  std::vector<float> scale(gamma.size()), shift(gamma.size());
-  for (std::size_t c = 0; c < gamma.size(); ++c) {
-    IOB_EXPECTS(variance[c] >= 0.0f, "variance must be non-negative");
-    scale[c] = gamma[c] / std::sqrt(variance[c] + eps);
-    shift[c] = beta[c] - mean[c] * scale[c];
-  }
-  return BatchNorm(std::move(scale), std::move(shift));
-}
-
-Shape BatchNorm::output_shape(const Shape& input) const {
-  IOB_EXPECTS(input.back() == static_cast<int>(scale_.size()),
-              "batchnorm channel count mismatch");
-  return input;
-}
-
-Tensor BatchNorm::forward_reference(const Tensor& input) const {
-  (void)output_shape(input.shape());  // validates channels
-  Tensor out = input;
-  const auto c = static_cast<std::int64_t>(scale_.size());
-  for (std::int64_t i = 0; i < out.size(); ++i) {
-    const auto ch = static_cast<std::size_t>(i % c);
-    out[i] = scale_[ch] * out[i] + shift_[ch];
-  }
-  return out;
-}
-
-void BatchNorm::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                             Workspace& ws) const {
-  (void)ws;
-  IOB_EXPECTS(in_shape.back() == static_cast<int>(scale_.size()),
-              "batchnorm channel count mismatch");
-  const auto c = static_cast<std::int64_t>(scale_.size());
-  const std::int64_t rows = shape_elems(in_shape) * batch / c;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const auto i = r * c + ch;
-      out[i] = scale_[static_cast<std::size_t>(ch)] * in[i] +
-               shift_[static_cast<std::size_t>(ch)];
-    }
-  }
-}
-
-bool BatchNorm::gemm_tail(int channels, GemmTail& tail) const {
-  // Only fusable when the producer's columns are exactly this layer's
-  // channels (the per-column epilogue IS the per-channel affine).
-  if (channels != static_cast<int>(scale_.size())) return false;
-  tail.kind = GemmTail::Kind::kBatchNorm;
-  tail.scale = scale_.data();
-  tail.shift = shift_.data();
-  return true;
-}
-
-std::uint64_t BatchNorm::macs(const Shape& input) const {
-  return static_cast<std::uint64_t>(shape_elems(input));
-}
-
-std::uint64_t BatchNorm::param_count() const { return 2 * scale_.size(); }
-
-std::string BatchNorm::describe() const {
-  return "batchnorm c" + std::to_string(scale_.size());
-}
 
 // ---- Softmax ----------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 #pragma once
 /// \file layers.hpp
-/// Non-convolution layers: dense, activations, pooling, softmax, flatten.
+/// Non-convolution layers: dense, ReLU, global average pooling, softmax.
 
 #include <vector>
 
@@ -46,7 +46,7 @@ class Relu final : public Layer {
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] bool gemm_tail(int channels, GemmTail& tail) const override;
+  [[nodiscard]] bool gemm_tail(GemmTail& tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }
@@ -56,30 +56,6 @@ class Relu final : public Layer {
 
  private:
   float cap_;
-};
-
-enum class PoolKind { kMax, kAvg };
-
-/// 2-D pooling over HWC input.
-class Pool2D final : public Layer {
- public:
-  Pool2D(PoolKind kind, int kernel, int stride);
-
-  void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                    Workspace& ws) const override;
-  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t param_count() const override { return 0; }
-  [[nodiscard]] std::string describe() const override;
-
-  [[nodiscard]] PoolKind kind() const { return kind_; }
-  [[nodiscard]] int kernel() const { return kernel_; }
-  [[nodiscard]] int stride() const { return stride_; }
-
- private:
-  PoolKind kind_;
-  int kernel_, stride_;
 };
 
 /// Global average pool: HWC -> C (also accepts LC -> C).
@@ -92,48 +68,6 @@ class GlobalAvgPool final : public Layer {
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }
   [[nodiscard]] std::string describe() const override;
-};
-
-/// Flatten to rank-1.
-class Flatten final : public Layer {
- public:
-  void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                    Workspace& ws) const override;
-  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t macs(const Shape& input) const override { (void)input; return 0; }
-  [[nodiscard]] std::uint64_t param_count() const override { return 0; }
-  [[nodiscard]] std::string describe() const override { return "flatten"; }
-};
-
-/// Batch normalization in folded inference form: per-channel affine
-/// y = scale * x + shift over the last (channel) dimension. Training-time
-/// (gamma, beta, mean, var) fold into (scale, shift) for deployment;
-/// `fold()` performs that conversion.
-class BatchNorm final : public Layer {
- public:
-  BatchNorm(std::vector<float> scale, std::vector<float> shift);
-
-  /// Fold training statistics into an inference BatchNorm:
-  /// scale = gamma / sqrt(var + eps), shift = beta - mean * scale.
-  static BatchNorm fold(const std::vector<float>& gamma, const std::vector<float>& beta,
-                        const std::vector<float>& mean, const std::vector<float>& variance,
-                        float eps = 1e-5f);
-
-  void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
-                    Workspace& ws) const override;
-  [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] bool gemm_tail(int channels, GemmTail& tail) const override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
-  [[nodiscard]] std::uint64_t param_count() const override;
-  [[nodiscard]] std::string describe() const override;
-
-  [[nodiscard]] const std::vector<float>& scale() const { return scale_; }
-  [[nodiscard]] const std::vector<float>& shift() const { return shift_; }
-
- private:
-  std::vector<float> scale_, shift_;
 };
 
 /// Numerically-stable softmax over the last (only) dimension of a vector.

@@ -40,7 +40,7 @@ void Model::add(LayerPtr layer) {
   const std::size_t j = layers_.size() - 1;
   if (j > 0 && layers_[j - 1]->supports_gemm_tail_fusion()) {
     GemmTail tail;
-    if (layers_[j]->gemm_tail(profiles_[j - 1].output_shape.back(), tail)) {
+    if (layers_[j]->gemm_tail(tail)) {
       fuse_with_next_[j - 1] = true;
     }
   }
@@ -123,7 +123,7 @@ ConstSpan Model::run_range_into(Workspace& ws, const float* input, int batch, st
       // epilogue (`cur` then holds layer i+1's output — same shape, since
       // the tail is elementwise).
       GemmTail tail;
-      layers_[i + 1]->gemm_tail(profiles_[i].output_shape.back(), tail);
+      layers_[i + 1]->gemm_tail(tail);
       layers_[i]->forward_into_fused(cur, layer_input_shape(i), batch, next, ws, tail);
       i += 2;
     } else {

@@ -108,8 +108,8 @@ class Model {
   Shape input_shape_;
   std::vector<LayerPtr> layers_;
   /// Fusion plan: fuse_with_next_[i] means layer i lowers onto the GEMM and
-  /// layer i+1 is an elementwise tail (Relu/BatchNorm) it absorbs into its
-  /// epilogue — `run_range_into` then executes the pair as one hop.
+  /// layer i+1 is a ReLU it absorbs into its epilogue — `run_range_into`
+  /// then executes the pair as one hop.
   /// Results are bit-exact either way (tests assert it); fusion only skips
   /// a workspace ping-pong.
   std::vector<char> fuse_with_next_;

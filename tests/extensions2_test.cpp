@@ -1,10 +1,9 @@
 // Tests for the second extension wave: the delta-frame video codec, the
-// CSMA/CA body-bus MAC, folded BatchNorm, and battery self-discharge.
+// CSMA/CA body-bus MAC, and battery self-discharge.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "comm/csma.hpp"
 #include "comm/tdma.hpp"
@@ -14,8 +13,6 @@
 #include "isa/metrics.hpp"
 #include "isa/mjpeg.hpp"
 #include "isa/mjpeg_delta.hpp"
-#include "nn/layers.hpp"
-#include "nn/model.hpp"
 #include "sim/simulator.hpp"
 #include "workload/video.hpp"
 
@@ -263,69 +260,6 @@ TEST(Csma, LateArrivalsWakeTheBus) {
   });
   sim.run_until(1.0);
   EXPECT_EQ(delivered, 1);
-}
-
-// ---- BatchNorm ----------------------------------------------------------------
-
-TEST(BatchNorm, AffinePerChannel) {
-  nn::BatchNorm bn({2.0f, 0.5f}, {1.0f, -1.0f});
-  nn::Tensor x(nn::Shape{1, 1, 2});
-  x.at(0, 0, 0) = 3.0f;
-  x.at(0, 0, 1) = 4.0f;
-  const nn::Tensor y = bn.forward(x);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 7.0f);   // 2*3 + 1
-  EXPECT_FLOAT_EQ(y.at(0, 0, 1), 1.0f);   // 0.5*4 - 1
-}
-
-TEST(BatchNorm, FoldMatchesDefinition) {
-  // y = gamma * (x - mean)/sqrt(var + eps) + beta.
-  const auto bn = nn::BatchNorm::fold({1.5f}, {0.25f}, {2.0f}, {4.0f}, 0.0f);
-  nn::Tensor x(nn::Shape{1, 1, 1});
-  x[0] = 6.0f;
-  EXPECT_NEAR(bn.forward(x)[0], 1.5f * (6.0f - 2.0f) / 2.0f + 0.25f, 1e-5);
-}
-
-TEST(BatchNorm, NormalizesItsOwnStatistics) {
-  // Folding the data's own mean/var with gamma=1, beta=0 whitens it.
-  sim::Rng rng(15);
-  const int n = 4096;
-  nn::Tensor x(nn::Shape{n, 1});
-  double mean = 0.0;
-  for (int i = 0; i < n; ++i) {
-    x.at(i, 0) = static_cast<float>(rng.normal(5.0, 3.0));
-    mean += x.at(i, 0);
-  }
-  mean /= n;
-  double var = 0.0;
-  for (int i = 0; i < n; ++i) var += (x.at(i, 0) - mean) * (x.at(i, 0) - mean);
-  var /= n;
-  const auto bn = nn::BatchNorm::fold({1.0f}, {0.0f}, {static_cast<float>(mean)},
-                                      {static_cast<float>(var)});
-  const nn::Tensor y = bn.forward(x);
-  double ymean = 0.0, yvar = 0.0;
-  for (int i = 0; i < n; ++i) ymean += y.at(i, 0);
-  ymean /= n;
-  for (int i = 0; i < n; ++i) yvar += (y.at(i, 0) - ymean) * (y.at(i, 0) - ymean);
-  yvar /= n;
-  EXPECT_NEAR(ymean, 0.0, 0.01);
-  EXPECT_NEAR(yvar, 1.0, 0.01);
-}
-
-TEST(BatchNorm, ComposesInsideAModel) {
-  nn::Model m("bn-net", nn::Shape{4, 4, 2});
-  m.add(std::make_unique<nn::BatchNorm>(std::vector<float>{1.0f, 2.0f},
-                                        std::vector<float>{0.0f, 0.0f}));
-  m.add(std::make_unique<nn::GlobalAvgPool>());
-  const nn::Tensor y = m.forward(nn::Tensor(nn::Shape{4, 4, 2}, 1.0f));
-  EXPECT_FLOAT_EQ(y[0], 1.0f);
-  EXPECT_FLOAT_EQ(y[1], 2.0f);
-  EXPECT_EQ(m.profiles()[0].params, 4u);
-}
-
-TEST(BatchNorm, RejectsChannelMismatch) {
-  nn::BatchNorm bn({1.0f, 1.0f}, {0.0f, 0.0f});
-  EXPECT_THROW(bn.forward(nn::Tensor(nn::Shape{2, 2, 3})), std::invalid_argument);
-  EXPECT_THROW(nn::BatchNorm({1.0f}, {0.0f, 0.0f}), std::invalid_argument);
 }
 
 // ---- Battery self-discharge -------------------------------------------------------

@@ -113,17 +113,12 @@ struct DispatchCapGuard {
   ~DispatchCapGuard() { set_kernel_dispatch_cap(-1); }
 };
 
-/// The f32 tails a tier test sweeps: none, relu, relu6 and a per-column
-/// batchnorm over `scale`/`shift`.
-std::vector<GemmTail> sweep_tails(const std::vector<float>& scale,
-                                  const std::vector<float>& shift) {
-  std::vector<GemmTail> tails(4);
+/// The f32 tails a tier test sweeps: none, relu and relu6.
+std::vector<GemmTail> sweep_tails() {
+  std::vector<GemmTail> tails(3);
   tails[1].kind = GemmTail::Kind::kRelu;
   tails[2].kind = GemmTail::Kind::kRelu;
   tails[2].cap = 6.0f;
-  tails[3].kind = GemmTail::Kind::kBatchNorm;
-  tails[3].scale = scale.data();
-  tails[3].shift = shift.data();
   return tails;
 }
 
@@ -136,16 +131,11 @@ TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
   DispatchCapGuard guard;
   const std::int64_t kMaxM = 9, kMaxN = 70, kMaxK = 600;
   std::vector<float> A(static_cast<std::size_t>(kMaxM * kMaxK)),
-      B(static_cast<std::size_t>(kMaxK * kMaxN)), bias(static_cast<std::size_t>(kMaxN)),
-      scale(bias.size()), shift(bias.size());
+      B(static_cast<std::size_t>(kMaxK * kMaxN)), bias(static_cast<std::size_t>(kMaxN));
   for (std::size_t i = 0; i < A.size(); ++i) A[i] = std::sin(static_cast<double>(i) * 0.37);
   for (std::size_t i = 0; i < B.size(); ++i) B[i] = std::cos(static_cast<double>(i) * 0.23);
-  for (std::size_t i = 0; i < bias.size(); ++i) {
-    bias[i] = 0.1f * static_cast<float>(i) - 3.0f;
-    scale[i] = 0.5f + 0.01f * static_cast<float>(i);
-    shift[i] = -0.2f + 0.02f * static_cast<float>(i);
-  }
-  const std::vector<GemmTail> tails = sweep_tails(scale, shift);
+  for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.1f * static_cast<float>(i) - 3.0f;
+  const std::vector<GemmTail> tails = sweep_tails();
   std::vector<float> want(static_cast<std::size_t>(kMaxM * kMaxN)), got(want.size());
   for (std::int64_t M = 1; M <= kMaxM; ++M) {
     for (const std::int64_t N : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 70}) {
@@ -171,21 +161,16 @@ TEST(DwConv, DispatchTiersBitIdenticalUnderForcedCaps) {
   // scalar rest) keep each channel's bias-then-taps order, so every cap
   // agrees bit for bit, with and without a fused tail. Cap 0 with a fused
   // tail must also equal the unfused pass followed by the tail's scalar
-  // expression (what a separate Relu/BatchNorm layer computes).
+  // expression (what a separate Relu layer computes).
   DispatchCapGuard guard;
   const int batch = 2, ih = 7, iw = 6, k = 3, pad = 1;
   for (const int c : {3, 16, 19, 64}) {
     std::vector<float> in(static_cast<std::size_t>(batch * ih * iw * c)),
-        w(static_cast<std::size_t>(k * k * c)), bias(static_cast<std::size_t>(c)),
-        scale(bias.size()), shift(bias.size());
+        w(static_cast<std::size_t>(k * k * c)), bias(static_cast<std::size_t>(c));
     for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(static_cast<double>(i) * 0.41);
     for (std::size_t i = 0; i < w.size(); ++i) w[i] = std::cos(static_cast<double>(i) * 0.29);
-    for (std::size_t i = 0; i < bias.size(); ++i) {
-      bias[i] = 0.05f * static_cast<float>(i) - 0.5f;
-      scale[i] = 0.7f + 0.01f * static_cast<float>(i);
-      shift[i] = 0.1f - 0.03f * static_cast<float>(i);
-    }
-    const std::vector<GemmTail> tails = sweep_tails(scale, shift);
+    for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.05f * static_cast<float>(i) - 0.5f;
+    const std::vector<GemmTail> tails = sweep_tails();
     for (const int stride : {1, 2}) {
       const int oh = (ih + 2 * pad - k) / stride + 1, ow = (iw + 2 * pad - k) / stride + 1;
       const std::size_t n = static_cast<std::size_t>(batch * oh * ow * c);
@@ -203,9 +188,6 @@ TEST(DwConv, DispatchTiersBitIdenticalUnderForcedCaps) {
           if (tail.kind == GemmTail::Kind::kRelu) {
             v = std::max(0.0f, v);
             if (tail.cap > 0.0f) v = std::min(tail.cap, v);
-          } else if (tail.kind == GemmTail::Kind::kBatchNorm) {
-            v = tail.scale[i % static_cast<std::size_t>(c)] * v +
-                tail.shift[i % static_cast<std::size_t>(c)];
           }
           ASSERT_EQ(want[i], v) << "c " << c << " stride " << stride << " tail " << t << " i " << i;
         }
@@ -223,18 +205,13 @@ TEST(DwConv, DispatchTiersBitIdenticalUnderForcedCaps) {
 
 // ---- fused elementwise GEMM tails -------------------------------------------
 
-TEST(GemmTailFusion, ReluAndBatchNormTailsBitExactVsSeparatePasses) {
+TEST(GemmTailFusion, ReluTailsBitExactVsSeparatePasses) {
   const std::int64_t M = 7, N = 19, K = 33;
   std::vector<float> A(static_cast<std::size_t>(M * K)), B(static_cast<std::size_t>(K * N)),
-      bias(static_cast<std::size_t>(N)), scale(static_cast<std::size_t>(N)),
-      shift(static_cast<std::size_t>(N));
+      bias(static_cast<std::size_t>(N));
   for (std::size_t i = 0; i < A.size(); ++i) A[i] = std::sin(static_cast<double>(i) * 0.31);
   for (std::size_t i = 0; i < B.size(); ++i) B[i] = std::cos(static_cast<double>(i) * 0.17);
-  for (std::size_t i = 0; i < bias.size(); ++i) {
-    bias[i] = 0.1f * static_cast<float>(i) - 0.9f;
-    scale[i] = 0.5f + 0.05f * static_cast<float>(i);
-    shift[i] = -0.2f + 0.03f * static_cast<float>(i);
-  }
+  for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.1f * static_cast<float>(i) - 0.9f;
   std::vector<float> plain(static_cast<std::size_t>(M * N)), fused(plain.size());
   gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), plain.data());
 
@@ -249,35 +226,16 @@ TEST(GemmTailFusion, ReluAndBatchNormTailsBitExactVsSeparatePasses) {
       ASSERT_EQ(fused[i], want) << "cap " << cap << " i " << i;
     }
   }
-
-  GemmTail bn;
-  bn.kind = GemmTail::Kind::kBatchNorm;
-  bn.scale = scale.data();
-  bn.shift = shift.data();
-  gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), fused.data(), bn);
-  for (std::int64_t m = 0; m < M; ++m) {
-    for (std::int64_t n = 0; n < N; ++n) {
-      const std::size_t i = static_cast<std::size_t>(m * N + n);
-      ASSERT_EQ(fused[i], scale[static_cast<std::size_t>(n)] * plain[i] +
-                              shift[static_cast<std::size_t>(n)])
-          << "m " << m << " n " << n;
-    }
-  }
 }
 
 TEST(GemmTailFusion, ModelChainFusesAndStaysBitExactVsReference) {
-  // fc -> batchnorm -> relu6 -> fc -> relu: two fusable pairs plus an
-  // unfused tail. run_into (which fuses) must equal the seed-loop oracle.
+  // fc -> relu6 -> relu -> fc -> relu: two fusable pairs plus an unfused
+  // tail. run_into (which fuses) must equal the seed-loop oracle.
   WeightGen gen(77);
   Model m("fused-chain", Shape{10});
   m.add(std::make_unique<FullyConnected>(10, 24, gen.weights(240, 10), gen.biases(24)));
-  std::vector<float> scale(24), shift(24);
-  for (int i = 0; i < 24; ++i) {
-    scale[static_cast<std::size_t>(i)] = 0.8f + 0.02f * static_cast<float>(i);
-    shift[static_cast<std::size_t>(i)] = -0.1f + 0.01f * static_cast<float>(i);
-  }
-  m.add(std::make_unique<BatchNorm>(scale, shift));
   m.add(std::make_unique<Relu>(6.0f));
+  m.add(std::make_unique<Relu>());
   m.add(std::make_unique<FullyConnected>(24, 5, gen.weights(120, 24), gen.biases(5)));
   m.add(std::make_unique<Relu>());
 

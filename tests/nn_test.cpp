@@ -113,33 +113,6 @@ TEST(Relu, SixCap) {
   EXPECT_FLOAT_EQ(y[1], 3.0f);
 }
 
-TEST(Pool2D, MaxPoolHandComputed) {
-  Pool2D pool(PoolKind::kMax, 2, 2);
-  Tensor x(Shape{2, 2, 1});
-  x.at(0, 0, 0) = 1.0f;
-  x.at(0, 1, 0) = 5.0f;
-  x.at(1, 0, 0) = 3.0f;
-  x.at(1, 1, 0) = 2.0f;
-  const Tensor y = pool.forward(x);
-  EXPECT_EQ(y.shape(), (Shape{1, 1, 1}));
-  EXPECT_FLOAT_EQ(y[0], 5.0f);
-}
-
-TEST(Pool2D, AvgPoolHandComputed) {
-  Pool2D pool(PoolKind::kAvg, 2, 2);
-  Tensor x(Shape{2, 2, 1});
-  x.at(0, 0, 0) = 1.0f;
-  x.at(0, 1, 0) = 2.0f;
-  x.at(1, 0, 0) = 3.0f;
-  x.at(1, 1, 0) = 6.0f;
-  EXPECT_FLOAT_EQ(pool.forward(x)[0], 3.0f);
-}
-
-TEST(Pool2D, StridedOutputShape) {
-  Pool2D pool(PoolKind::kMax, 2, 2);
-  EXPECT_EQ(pool.output_shape(Shape{8, 6, 3}), (Shape{4, 3, 3}));
-}
-
 TEST(GlobalAvgPool, AveragesPerChannel) {
   GlobalAvgPool gap;
   Tensor x(Shape{2, 2, 2});
