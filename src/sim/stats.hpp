@@ -1,17 +1,13 @@
 #pragma once
 /// \file stats.hpp
-/// Streaming statistics used throughout the simulator: scalar accumulators
-/// (Welford), time-weighted averages (for power rails and queue lengths),
-/// and fixed-bin histograms (for latency distributions).
+/// Streaming statistics used throughout the simulator: a scalar
+/// accumulator over observed samples (Welford mean, min, max).
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace iob::sim {
 
-/// Streaming mean/variance/min/max over observed samples (Welford's method,
+/// Streaming mean/min/max over observed samples (Welford's mean update,
 /// numerically stable for long runs).
 class Accumulator {
  public:
@@ -19,8 +15,6 @@ class Accumulator {
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double variance() const;  ///< sample variance (n-1); 0 if n<2
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return mean() * static_cast<double>(n_); }
@@ -28,60 +22,8 @@ class Accumulator {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Time-weighted average of a piecewise-constant signal, e.g. instantaneous
-/// power or queue occupancy. Feed (time, new_value) transitions; query the
-/// average over the observed window.
-class TimeWeighted {
- public:
-  /// Record that the signal changed to `value` at time `t` (non-decreasing).
-  void update(double t, double value);
-
-  /// Close the window at time `t` and return the time-weighted mean.
-  [[nodiscard]] double average_until(double t) const;
-
-  /// Integral of the signal over [start, t] (e.g. joules if the signal is W).
-  [[nodiscard]] double integral_until(double t) const;
-
-  [[nodiscard]] double current() const { return value_; }
-  [[nodiscard]] bool started() const { return started_; }
-
- private:
-  bool started_ = false;
-  double start_time_ = 0.0;
-  double last_time_ = 0.0;
-  double value_ = 0.0;
-  double integral_ = 0.0;
-};
-
-/// Fixed-bin histogram over [lo, hi) with out-of-range under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Approximate quantile (q in [0,1]) by linear interpolation within the
-  /// containing bin; returns lo/hi clamps for empty histograms.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Multi-line ASCII rendering (for reports).
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_, bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace iob::sim
