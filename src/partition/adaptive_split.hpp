@@ -1,10 +1,10 @@
 #pragma once
 /// \file adaptive_split.hpp
 /// Closed-loop split-point controller: the runtime counterpart of
-/// `Partitioner` for a leaf that must survive a target mission time. Where
-/// `AdaptiveIsaController` steps a node's ISA *output mode* along the energy
-/// glide path, this controller steps the *partition point* — how many model
-/// layers run on-body before the activation ships to the hub. Harvesting
+/// `Partitioner` for a leaf that must survive a target mission time. The
+/// controller steps the *partition point* — how many model layers run
+/// on-body before the activation ships to the hub — along the energy glide
+/// path, the power that exactly survives the remaining mission. Harvesting
 /// surplus pulls computation onto the leaf (small activations, short radio
 /// time); a sagging battery pushes layers back to the hub. Same discipline
 /// as every other subsystem: the decision depends only on battery state and
@@ -62,6 +62,11 @@ class AdaptiveSplitController {
   /// splits the smallest k is kept). Deterministic.
   [[nodiscard]] static std::vector<SplitCandidate> candidates_from(const Partitioner& part,
                                                                    double inference_hz);
+
+  /// The power budget (W) that exactly survives the remaining mission from
+  /// the given state.
+  [[nodiscard]] static double glide_power_w(const energy::Battery& battery, double elapsed_s,
+                                            double mission_time_s);
 
  private:
   AdaptiveSplitConfig config_;
