@@ -77,7 +77,6 @@ int main() {
   net::NetworkSim network(wir, net::NetworkConfig{/*seed=*/3});
   net::NodeConfig glasses;
   glasses.name = "smart-glasses-cam";
-  glasses.location = net::BodyLocation::kHead;
   glasses.stream = "video";
   glasses.sense_power_w = 2.0 * mW;   // ULP image sensor (HM01B0 class)
   glasses.isa_power_w = 60.0 * uW;    // MJPEG blocks

@@ -47,21 +47,19 @@ int main() {
   comm::WiRLink wir;
   net::NetworkSim network(wir, net::NetworkConfig{/*seed=*/7});
 
-  auto leaf = [](const char* name, net::BodyLocation loc, double rate_bps, double sense_w,
-                 double isa_w) {
+  auto leaf = [](const char* name, double rate_bps, double sense_w, double isa_w) {
     net::NodeConfig n;
     n.name = name;
-    n.location = loc;
     n.stream = name;
     n.sense_power_w = sense_w;
     n.isa_power_w = isa_w;
     n.output_rate_bps = rate_bps;
     return n;
   };
-  network.add_node(leaf("ecg", net::BodyLocation::kChest, coded_bps, 8.0 * uW, 1.5 * uW));
-  network.add_node(leaf("emg", net::BodyLocation::kWristLeft, 8.0 * kbps, 9.0 * uW, 1.5 * uW));
-  network.add_node(leaf("imu", net::BodyLocation::kAnkleLeft, 4.8 * kbps, 5.0 * uW, 0.5 * uW));
-  network.add_node(leaf("ppg", net::BodyLocation::kFingerLeft, 1.6 * kbps, 40.0 * uW, 0.5 * uW));
+  network.add_node(leaf("ecg", coded_bps, 8.0 * uW, 1.5 * uW));
+  network.add_node(leaf("emg", 8.0 * kbps, 9.0 * uW, 1.5 * uW));
+  network.add_node(leaf("imu", 4.8 * kbps, 5.0 * uW, 0.5 * uW));
+  network.add_node(leaf("ppg", 1.6 * kbps, 40.0 * uW, 0.5 * uW));
 
   // Hub: arrhythmia CNN on every second of ECG, alerts uplinked.
   const nn::Model ecg_model = nn::make_ecg_cnn1d();
@@ -90,7 +88,7 @@ int main() {
   pv.mean_power_w = 50.0 * uW;
   pv.availability = 0.7;
   for (const char* name : {"ecg", "emg", "imu", "ppg"}) {
-    net::NodeConfig n = leaf(name, net::BodyLocation::kChest, 5.0 * kbps, 8.0 * uW, 1.0 * uW);
+    net::NodeConfig n = leaf(name, 5.0 * kbps, 8.0 * uW, 1.0 * uW);
     n.harvester = pv;
     harvested.add_node(n);
   }
@@ -116,7 +114,7 @@ int main() {
   // large the population grows.
   auto ban_class = [&leaf](const char* name, double rate_bps, double sense_w, double isa_w) {
     core::NodeClassSpec cls;
-    cls.base = leaf(name, net::BodyLocation::kChest, rate_bps, sense_w, isa_w);
+    cls.base = leaf(name, rate_bps, sense_w, isa_w);
     return cls;
   };
   core::FleetAxes axes;

@@ -62,7 +62,6 @@ int main() {
 
   net::NodeConfig relay;
   relay.name = "scalp-relay";
-  relay.location = net::BodyLocation::kHead;
   relay.stream = "neural";
   relay.sense_power_w = implant_tx_w + 30.0 * uW;  // MQS RX side lives on the relay
   relay.isa_power_w = 2.0 * uW;                    // spike-feature packing
@@ -71,7 +70,6 @@ int main() {
 
   net::NodeConfig token;
   token.name = "auth-token";  // sub-uW wearable authentication node [21]
-  token.location = net::BodyLocation::kWristRight;
   token.stream = "auth";
   token.sense_power_w = 0.1 * uW;
   token.output_rate_bps = 1.0 * kbps;

@@ -25,7 +25,6 @@ int main() {
 
   net::NodeConfig ecg;
   ecg.name = "ecg-patch";
-  ecg.location = net::BodyLocation::kChest;
   ecg.stream = "ecg";
   ecg.sense_power_w = 8.0 * uW;    // biopotential AFE
   ecg.isa_power_w = 1.0 * uW;      // delta+varint codec
@@ -34,7 +33,6 @@ int main() {
 
   net::NodeConfig ring;
   ring.name = "smart-ring";
-  ring.location = net::BodyLocation::kFingerLeft;
   ring.stream = "ppg";
   ring.sense_power_w = 40.0 * uW;  // PPG LEDs + IMU
   ring.output_rate_bps = 20.0 * kbps;

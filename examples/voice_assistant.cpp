@@ -89,7 +89,6 @@ int main() {
   net::NetworkSim network(wir, net::NetworkConfig{/*seed=*/6});
   net::NodeConfig pendant;
   pendant.name = "ai-pendant";
-  pendant.location = net::BodyLocation::kNeck;
   pendant.stream = "audio";
   pendant.sense_power_w = mic_power;
   pendant.isa_power_w = 0.5e6 * 20e-12;  // ADPCM MACs at 20 pJ

@@ -16,31 +16,21 @@ double DeviceSpec::battery_life_hours() const { return battery_life_s() / units:
 
 const std::vector<DeviceSpec>& device_survey() {
   using namespace iob::units;
-  using L = BodyLocation;
   static const std::vector<DeviceSpec> table = {
       // ---- Pre-2024 wearables (Fig. 2 left) --------------------------------
-      {"smart ring", DeviceEra::kPre2024, L::kFingerLeft, 20.0, 3.7, 0.40 * mW, 40.0 * kbps,
-       "all-week"},
-      {"fitness tracker", DeviceEra::kPre2024, L::kWristLeft, 125.0, 3.7, 2.6 * mW, 40.0 * kbps,
-       "all-week"},
-      {"earbuds", DeviceEra::kPre2024, L::kEarLeft, 50.0, 3.7, 14.0 * mW, 256.0 * kbps,
-       "all-day"},
-      {"smartwatch", DeviceEra::kPre2024, L::kWristLeft, 300.0, 3.85, 60.0 * mW, 300.0 * kbps,
-       "all-day"},
-      {"headphone", DeviceEra::kPre2024, L::kHead, 600.0, 3.7, 90.0 * mW, 512.0 * kbps,
-       "all-day"},
-      {"smartphone", DeviceEra::kPre2024, L::kThighLeft, 4000.0, 3.85, 1.8 * W, 10.0 * Mbps,
-       "<10 hr"},
+      {"smart ring", DeviceEra::kPre2024, 20.0, 3.7, 0.40 * mW, 40.0 * kbps, "all-week"},
+      {"fitness tracker", DeviceEra::kPre2024, 125.0, 3.7, 2.6 * mW, 40.0 * kbps, "all-week"},
+      {"earbuds", DeviceEra::kPre2024, 50.0, 3.7, 14.0 * mW, 256.0 * kbps, "all-day"},
+      {"smartwatch", DeviceEra::kPre2024, 300.0, 3.85, 60.0 * mW, 300.0 * kbps, "all-day"},
+      {"headphone", DeviceEra::kPre2024, 600.0, 3.7, 90.0 * mW, 512.0 * kbps, "all-day"},
+      {"smartphone", DeviceEra::kPre2024, 4000.0, 3.85, 1.8 * W, 10.0 * Mbps, "<10 hr"},
       // ---- 2024 wearable-AI boom (Fig. 2 right) ----------------------------
-      {"AI pin", DeviceEra::kWearableAi2024, L::kChest, 1000.0, 3.85, 320.0 * mW, 10.0 * Mbps,
-       "all-day"},
-      {"AI pocket assistant", DeviceEra::kWearableAi2024, L::kThighLeft, 1000.0, 3.7, 300.0 * mW,
+      {"AI pin", DeviceEra::kWearableAi2024, 1000.0, 3.85, 320.0 * mW, 10.0 * Mbps, "all-day"},
+      {"AI pocket assistant", DeviceEra::kWearableAi2024, 1000.0, 3.7, 300.0 * mW,
        2.0 * Mbps, "all-day"},
-      {"AI necklace", DeviceEra::kWearableAi2024, L::kNeck, 100.0, 3.7, 12.0 * mW, 256.0 * kbps,
-       "all-day"},
-      {"smart glasses", DeviceEra::kWearableAi2024, L::kHead, 154.0, 3.7, 140.0 * mW, 10.0 * Mbps,
-       "3-5 hr"},
-      {"mixed reality headset", DeviceEra::kWearableAi2024, L::kHead, 5060.0, 3.85, 5.5 * W,
+      {"AI necklace", DeviceEra::kWearableAi2024, 100.0, 3.7, 12.0 * mW, 256.0 * kbps, "all-day"},
+      {"smart glasses", DeviceEra::kWearableAi2024, 154.0, 3.7, 140.0 * mW, 10.0 * Mbps, "3-5 hr"},
+      {"mixed reality headset", DeviceEra::kWearableAi2024, 5060.0, 3.85, 5.5 * W,
        100.0 * Mbps, "3-5 hr"},
   };
   return table;
@@ -59,11 +49,10 @@ SuitePreset motion_heavy_suite() {
   suite.name = "motion-heavy (running wearer)";
   suite.motion = phy::running_profile();
 
-  auto leaf = [](const char* name, const char* stream, BodyLocation loc, double rate_bps,
-                 double sense_w, double isa_w, double mah, double v) {
+  auto leaf = [](const char* name, const char* stream, double rate_bps, double sense_w,
+                 double isa_w, double mah, double v) {
     NodeConfig n;
     n.name = name;
-    n.location = loc;
     n.stream = stream;
     n.output_rate_bps = rate_bps;
     n.sense_power_w = sense_w;
@@ -83,11 +72,11 @@ SuitePreset motion_heavy_suite() {
   // (the heavy flow the ladder has to protect); the chest patch is the
   // Sec. II-A 2-lead biopotential node on the Fig. 3 coin cell.
   suite.nodes = {
-      leaf("watch", "vitals", watch.location, 9.6 * kbps, 30.0 * uW, 1.5 * uW,
-           watch.battery_mah, watch.battery_v),
-      leaf("patch", "vitals", BodyLocation::kChest, 4.0 * kbps, 8.0 * uW, 1.5 * uW, 1000.0, 3.0),
-      leaf("earbud", "audio", earbud.location, 64.0 * kbps, 150.0 * uW, 2.0 * uW,
-           earbud.battery_mah, earbud.battery_v),
+      leaf("watch", "vitals", 9.6 * kbps, 30.0 * uW, 1.5 * uW, watch.battery_mah,
+           watch.battery_v),
+      leaf("patch", "vitals", 4.0 * kbps, 8.0 * uW, 1.5 * uW, 1000.0, 3.0),
+      leaf("earbud", "audio", 64.0 * kbps, 150.0 * uW, 2.0 * uW, earbud.battery_mah,
+           earbud.battery_v),
   };
   return suite;
 }

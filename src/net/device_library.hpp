@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "net/node.hpp"
-#include "net/topology.hpp"
 #include "phy/body_motion.hpp"
 
 namespace iob::net {
@@ -24,7 +23,6 @@ enum class DeviceEra {
 struct DeviceSpec {
   std::string name;
   DeviceEra era;
-  BodyLocation location;
   double battery_mah;
   double battery_v;
   double platform_power_w;     ///< typical active-use average
@@ -55,11 +53,10 @@ struct SuitePreset {
 
 /// The motion-heavy suite (docs/robustness.md): smartwatch + ECG chest
 /// patch + earbud on a *running* wearer — short vigorous gait sojourns and
-/// frequent arm-swing occlusions. Batteries and locations come from the
-/// Fig. 2 survey entries (the patch is the paper's Sec. II-A biopotential
-/// node, not a Fig. 2 class); every leaf ships with the degradation ladder
-/// armed so the session rides the run/occlusion episodes instead of
-/// collapsing.
+/// frequent arm-swing occlusions. Batteries come from the Fig. 2 survey
+/// entries (the patch is the paper's Sec. II-A biopotential node, not a
+/// Fig. 2 class); every leaf ships with the degradation ladder armed so the
+/// session rides the run/occlusion episodes instead of collapsing.
 SuitePreset motion_heavy_suite();
 
 }  // namespace iob::net

@@ -19,7 +19,6 @@
 #include "energy/battery.hpp"
 #include "energy/harvester.hpp"
 #include "net/degradation.hpp"
-#include "net/topology.hpp"
 #include "nn/precision.hpp"
 #include "nn/workspace.hpp"
 #include "partition/adaptive_split.hpp"
@@ -80,7 +79,6 @@ struct LeafSplitStats {
 
 struct NodeConfig {
   std::string name = "node";
-  BodyLocation location = BodyLocation::kChest;
   std::string stream = "data";
   double sense_power_w = 10e-6;       ///< front-end power (from survey model)
   double isa_power_w = 0.0;           ///< in-sensor analytics power

@@ -152,10 +152,9 @@ TEST(PaperClaims, WearableBrainNetworkSupportsBodyScaleSuite) {
   comm::WiRLink wir;
   net::NetworkSim sim(wir, net::NetworkConfig{11});
 
-  auto leaf = [&](const char* name, net::BodyLocation loc, double rate, double sense_uw) {
+  auto leaf = [&](const char* name, double rate, double sense_uw) {
     net::NodeConfig n;
     n.name = name;
-    n.location = loc;
     n.stream = name;
     n.sense_power_w = sense_uw * uW;
     n.isa_power_w = 1.0 * uW;
@@ -163,11 +162,11 @@ TEST(PaperClaims, WearableBrainNetworkSupportsBodyScaleSuite) {
     n.frame_bytes = 240;
     return n;
   };
-  sim.add_node(leaf("ecg", net::BodyLocation::kChest, 4.0 * kbps, 8.0));
-  sim.add_node(leaf("emg", net::BodyLocation::kWristLeft, 6.0 * kbps, 8.0));
-  sim.add_node(leaf("imu", net::BodyLocation::kAnkleLeft, 4.8 * kbps, 5.0));
-  sim.add_node(leaf("ppg-ring", net::BodyLocation::kFingerLeft, 1.6 * kbps, 4.0));
-  sim.add_node(leaf("audio", net::BodyLocation::kEarLeft, 64.0 * kbps, 150.0));
+  sim.add_node(leaf("ecg", 4.0 * kbps, 8.0));
+  sim.add_node(leaf("emg", 6.0 * kbps, 8.0));
+  sim.add_node(leaf("imu", 4.8 * kbps, 5.0));
+  sim.add_node(leaf("ppg-ring", 1.6 * kbps, 4.0));
+  sim.add_node(leaf("audio", 64.0 * kbps, 150.0));
 
   const net::NetworkReport report = sim.run(60.0);
   for (const auto& n : report.nodes) {
