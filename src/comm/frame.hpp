@@ -33,6 +33,4 @@ struct Frame {
   [[nodiscard]] std::uint32_t payload_bits() const { return payload_bytes * 8; }
 };
 
-const char* to_string(FrameKind k);
-
 }  // namespace iob::comm

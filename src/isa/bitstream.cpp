@@ -32,13 +32,6 @@ std::vector<std::uint8_t> BitWriter::finish() {
 
 BitReader::BitReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
-std::uint64_t BitReader::read(unsigned count) {
-  IOB_EXPECTS(count <= 64, "cannot read more than 64 bits at once");
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < count; ++i) v = (v << 1) | read_bit();
-  return v;
-}
-
 unsigned BitReader::read_bit() {
   const std::size_t byte_idx = pos_bits_ / 8;
   if (byte_idx >= size_) throw std::invalid_argument("bitstream exhausted");
@@ -46,7 +39,5 @@ unsigned BitReader::read_bit() {
   ++pos_bits_;
   return (data_[byte_idx] >> shift) & 1u;
 }
-
-std::size_t BitReader::bits_remaining() const { return size_ * 8 - pos_bits_; }
 
 }  // namespace iob::isa

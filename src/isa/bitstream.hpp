@@ -30,13 +30,8 @@ class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t size);
 
-  /// Read `count` bits MSB-first. Throws std::invalid_argument past the end.
-  std::uint64_t read(unsigned count);
-
   /// Read a single bit.
   unsigned read_bit();
-
-  [[nodiscard]] std::size_t bits_remaining() const;
 
  private:
   const std::uint8_t* data_;

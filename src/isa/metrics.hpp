@@ -1,9 +1,6 @@
 #pragma once
 /// \file metrics.hpp
-/// Rate/distortion metrics for the ISA codecs.
-
-#include <cstdint>
-#include <vector>
+/// Distortion metric for the ISA video codecs.
 
 #include "isa/mjpeg.hpp"
 
@@ -11,11 +8,5 @@ namespace iob::isa {
 
 /// Peak signal-to-noise ratio (dB) between two 8-bit frames of equal size.
 double psnr_db(const GrayFrame& a, const GrayFrame& b);
-
-/// SNR (dB) between a reference and a reconstruction.
-double snr_db(const std::vector<float>& reference, const std::vector<float>& reconstruction);
-
-/// raw_bytes / coded_bytes.
-double compression_ratio(std::size_t raw_bytes, std::size_t coded_bytes);
 
 }  // namespace iob::isa

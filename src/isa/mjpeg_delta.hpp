@@ -33,9 +33,6 @@ class MjpegDeltaEncoder {
   /// Encode the next frame of the stream (stateful).
   DeltaEncodedFrame encode_next(const GrayFrame& frame);
 
-  /// Restart the stream (next frame becomes a key frame).
-  void reset();
-
  private:
   MjpegCodec intra_;
   int key_interval_;
@@ -51,8 +48,6 @@ class MjpegDeltaDecoder {
   /// Decode the next frame of the stream (stateful). Throws on a delta
   /// frame arriving before any key frame.
   GrayFrame decode_next(const DeltaEncodedFrame& encoded);
-
-  void reset();
 
  private:
   MjpegCodec intra_;

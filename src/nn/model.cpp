@@ -168,7 +168,6 @@ std::uint64_t Model::total_params() const {
   return sum;
 }
 
-std::int64_t Model::input_bytes_f32() const { return shape_elems(input_shape_) * 4; }
 std::int64_t Model::input_bytes_i8() const { return shape_elems(input_shape_); }
 
 std::string Model::summary() const {

@@ -85,7 +85,6 @@ class Model {
   [[nodiscard]] std::uint64_t total_params() const;
 
   /// Input tensor size in bytes (f32 / raw sensor int8 transport).
-  [[nodiscard]] std::int64_t input_bytes_f32() const;
   [[nodiscard]] std::int64_t input_bytes_i8() const;
 
   /// Largest per-sample activation (input or any layer output), in floats —

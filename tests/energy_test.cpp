@@ -54,12 +54,6 @@ TEST(Battery, UsableFractionReducesCapacity) {
   EXPECT_DOUBLE_EQ(b.remaining_j(), 864.0);
 }
 
-TEST(Battery, TimeToEmpty) {
-  Battery b(1000.0, 3.0);
-  EXPECT_DOUBLE_EQ(b.time_to_empty_s(1.0), 10800.0);
-  EXPECT_TRUE(std::isinf(b.time_to_empty_s(0.0)));
-}
-
 TEST(Battery, RejectsBadConstruction) {
   EXPECT_THROW(Battery(0.0, 3.0), std::invalid_argument);
   EXPECT_THROW(Battery(10.0, -1.0), std::invalid_argument);
@@ -118,20 +112,6 @@ TEST(SensingPower, MonotoneIncreasing) {
     EXPECT_GT(p, prev);
     prev = p;
   }
-}
-
-TEST(SensingPower, EnergyPerBitReasonable) {
-  // AFE energy/bit should sit in the ~nJ class across the survey.
-  SensingPowerModel m;
-  EXPECT_LT(m.energy_per_bit_j(10.0 * kbps), 10.0 * nJ);
-  EXPECT_GT(m.energy_per_bit_j(10.0 * kbps), 0.1 * nJ);
-}
-
-TEST(SensingPower, ExponentAboveOneTowardCameras) {
-  // Sensing gets super-linear toward high-rate (camera) regimes — the
-  // physics behind Fig. 3's steepening curve.
-  SensingPowerModel m;
-  EXPECT_GT(m.scaling_exponent(2.0 * Mbps), 1.0);
 }
 
 TEST(SensingPower, CustomAnchorsRespected) {

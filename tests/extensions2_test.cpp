@@ -1,5 +1,5 @@
-// Tests for the second extension wave: the delta-frame video codec, the
-// CSMA/CA body-bus MAC, and battery self-discharge.
+// Tests for the second extension wave: the delta-frame video codec and the
+// CSMA/CA body-bus MAC.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,6 @@
 #include "comm/csma.hpp"
 #include "comm/tdma.hpp"
 #include "comm/wir_link.hpp"
-#include "common/units.hpp"
-#include "energy/battery.hpp"
 #include "isa/metrics.hpp"
 #include "isa/mjpeg.hpp"
 #include "isa/mjpeg_delta.hpp"
@@ -18,8 +16,6 @@
 
 namespace iob {
 namespace {
-
-using namespace iob::units;
 
 // ---- MJPEG delta codec ---------------------------------------------------------
 
@@ -129,16 +125,6 @@ TEST(MjpegDelta, DecoderRejectsSkipPastTheFrame) {
   // INT32_MAX blocks, which must not wrap the block index.
   delta.payload = {0, 0x00, 0x02, 0x3f, 0xfe, 0xff, 0xff, 0xff, 0x0f};
   EXPECT_THROW(dec.decode_next(delta), std::invalid_argument);
-}
-
-TEST(MjpegDelta, ResetRestartsWithKeyFrame) {
-  workload::VideoGenerator gen;
-  sim::Rng rng(5);
-  isa::MjpegDeltaEncoder enc(50, 1000);
-  (void)enc.encode_next(gen.next_frame(rng));
-  EXPECT_FALSE(enc.encode_next(gen.next_frame(rng)).key);
-  enc.reset();
-  EXPECT_TRUE(enc.encode_next(gen.next_frame(rng)).key);
 }
 
 // ---- CSMA MAC -------------------------------------------------------------------
@@ -260,29 +246,6 @@ TEST(Csma, LateArrivalsWakeTheBus) {
   });
   sim.run_until(1.0);
   EXPECT_EQ(delivered, 1);
-}
-
-// ---- Battery self-discharge -------------------------------------------------------
-
-TEST(SelfDischarge, BoundsPerpetualAtShelfLife) {
-  // 1%/yr lithium coin cell: even a zero-power node "dies" at the ~100 yr
-  // shelf-life scale, and a 1 uW node's life is shortened accordingly.
-  energy::Battery b(1000.0, 3.0, 1.0, 0.01);
-  EXPECT_NEAR(b.self_discharge_w(), 0.01 * 10800.0 / year, 1e-12);
-  const double zero_load_life = b.time_to_empty_s(0.0);
-  EXPECT_NEAR(zero_load_life / year, 100.0, 1.0);
-  EXPECT_LT(b.time_to_empty_s(1e-6), zero_load_life);
-}
-
-TEST(SelfDischarge, DefaultIsIdeal) {
-  const energy::Battery b = energy::Battery::coin_cell_1000mah();
-  EXPECT_DOUBLE_EQ(b.self_discharge_w(), 0.0);
-  EXPECT_TRUE(std::isinf(b.time_to_empty_s(0.0)));
-}
-
-TEST(SelfDischarge, RejectsOutOfRange) {
-  EXPECT_THROW(energy::Battery(100.0, 3.0, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(energy::Battery(100.0, 3.0, 1.0, -0.1), std::invalid_argument);
 }
 
 }  // namespace

@@ -101,16 +101,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_THROW(r.bernoulli(1.5), std::invalid_argument);
 }
 
-TEST(Rng, PoissonMeanSmallAndLarge) {
-  Rng r(19);
-  Accumulator small, large;
-  for (int i = 0; i < 20000; ++i) small.add(r.poisson(3.0));
-  for (int i = 0; i < 20000; ++i) large.add(r.poisson(100.0));
-  EXPECT_NEAR(small.mean(), 3.0, 0.1);
-  EXPECT_NEAR(large.mean(), 100.0, 1.0);
-  EXPECT_EQ(r.poisson(0.0), 0u);
-}
-
 TEST(Rng, ForkedStreamsAreIndependent) {
   Rng parent(23);
   Rng a = parent.fork(1);
