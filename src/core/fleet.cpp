@@ -188,14 +188,6 @@ partition::AdaptiveSplitConfig adaptive_config_for(const FleetPoint& p,
   return acfg;
 }
 
-/// Initial split point of a class under the point's split variant (the
-/// adaptive controller starts at its richest candidate). The node config
-/// and the hub session must agree on this — single source of truth.
-std::size_t initial_split_for(const FleetPoint& p, const NodeClassSpec& cls) {
-  if (p.split.adaptive) return adaptive_config_for(p, cls).candidates.front().split_at;
-  return split_point_for(*cls.session->net, p.split.leaf_fraction);
-}
-
 /// Resolve the config a class gives to node `i` of point `p`.
 net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& cls, int i) {
   static const std::string kDefaultStream = net::NodeConfig{}.stream;
@@ -249,13 +241,16 @@ std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
     const NodeClassSpec& cls = select_node_class(p.mix, i);
     net::NodeConfig cfg = node_config_for_class(p, cls, i);
     const std::string stream = cfg.stream;
+    // The hub session resumes where the node's split starts (the adaptive
+    // controller's richest candidate), so both read the one split point.
+    const std::size_t split_at = cfg.split ? cfg.split->split_at : 0;
     sim->add_node(std::move(cfg));
     if (cls.session) {
       net::SessionConfig s = *cls.session;
       s.stream = stream;
       s.precision = p.precision;  // the precision axis reaches every session
       // The hub's share of a split class is the layer suffix.
-      if (class_splits(p, cls)) net::apply_split(s, initial_split_for(p, cls));
+      if (class_splits(p, cls)) net::apply_split(s, split_at);
       sim->add_session(std::move(s));
     }
   }
