@@ -97,6 +97,7 @@ MjpegEncoded MjpegCodec::encode(const GrayFrame& frame) const {
 }
 
 GrayFrame MjpegCodec::decode(const MjpegEncoded& encoded) const {
+  IOB_EXPECTS(encoded.quality == quality_, "stream quality differs from the decoder's");
   IOB_EXPECTS(encoded.width > 0 && encoded.height > 0, "encoded dims must be positive");
   IOB_EXPECTS(encoded.width % kBlock == 0 && encoded.height % kBlock == 0,
               "encoded dims must be multiples of 8");

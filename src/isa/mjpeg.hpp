@@ -40,6 +40,8 @@ class MjpegCodec {
   explicit MjpegCodec(int quality = 50);
 
   [[nodiscard]] MjpegEncoded encode(const GrayFrame& frame) const;
+  /// Throws std::invalid_argument on a malformed stream or one encoded at
+  /// another quality (its pixels would dequantize with the wrong matrix).
   [[nodiscard]] GrayFrame decode(const MjpegEncoded& encoded) const;
 
   /// Compression ratio achieved on a frame (raw bytes / encoded bytes).

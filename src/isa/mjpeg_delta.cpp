@@ -205,6 +205,7 @@ DeltaEncodedFrame MjpegDeltaEncoder::encode_next(const GrayFrame& frame) {
 MjpegDeltaDecoder::MjpegDeltaDecoder(int quality) : intra_(quality) {}
 
 GrayFrame MjpegDeltaDecoder::decode_next(const DeltaEncodedFrame& encoded) {
+  IOB_EXPECTS(encoded.quality == intra_.quality(), "stream quality differs from the decoder's");
   if (encoded.key) {
     MjpegEncoded intra;
     intra.width = encoded.width;
@@ -220,6 +221,7 @@ GrayFrame MjpegDeltaDecoder::decode_next(const DeltaEncodedFrame& encoded) {
   IOB_EXPECTS(encoded.width == reference_.width && encoded.height == reference_.height,
               "delta frame dimension mismatch");
   IOB_EXPECTS(!encoded.payload.empty(), "empty delta payload");
+  IOB_EXPECTS(encoded.payload[0] <= 1, "unknown delta payload mode");
   // Raw tokens are read in place after the mode byte; Huffman-wrapped
   // ones are unwrapped from there.
   const std::uint8_t* tokens = encoded.payload.data() + 1;

@@ -45,8 +45,9 @@ class MjpegDeltaDecoder {
  public:
   explicit MjpegDeltaDecoder(int quality = 50);
 
-  /// Decode the next frame of the stream (stateful). Throws on a delta
-  /// frame arriving before any key frame.
+  /// Decode the next frame of the stream (stateful). Throws
+  /// std::invalid_argument on a frame of another quality, a delta frame
+  /// arriving before any key frame, or an unknown payload mode byte.
   GrayFrame decode_next(const DeltaEncodedFrame& encoded);
 
  private:

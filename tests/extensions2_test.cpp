@@ -107,6 +107,7 @@ TEST(MjpegDelta, DecoderRejectsDeltaBeforeKey) {
   bogus.key = false;
   bogus.width = 16;
   bogus.height = 16;
+  bogus.quality = 50;
   EXPECT_THROW(dec.decode_next(bogus), std::invalid_argument);
 }
 
@@ -121,10 +122,52 @@ TEST(MjpegDelta, DecoderRejectsSkipPastTheFrame) {
   isa::DeltaEncodedFrame delta;
   delta.width = 16;
   delta.height = 8;
+  delta.quality = 50;
   // Raw tokens: skip 0, one coded block (DC 1, EOB), then a skip of
   // INT32_MAX blocks, which must not wrap the block index.
   delta.payload = {0, 0x00, 0x02, 0x3f, 0xfe, 0xff, 0xff, 0xff, 0x0f};
   EXPECT_THROW(dec.decode_next(delta), std::invalid_argument);
+}
+
+TEST(MjpegDelta, DecoderRejectsAStreamOfAnotherQuality) {
+  workload::VideoGenerator gen;
+  sim::Rng rng(6);
+  isa::MjpegDeltaEncoder enc(75);
+  const isa::DeltaEncodedFrame key = enc.encode_next(gen.next_frame(rng));
+  const isa::DeltaEncodedFrame delta = enc.encode_next(gen.next_frame(rng));
+  ASSERT_TRUE(key.key);
+  ASSERT_FALSE(delta.key);
+  // Both frame kinds dequantize with the decoder's matrix, so a q=75
+  // stream must not reach a q=50 decoder.
+  isa::MjpegDeltaDecoder other(50);
+  EXPECT_THROW(static_cast<void>(other.decode_next(key)), std::invalid_argument);
+  isa::MjpegDeltaDecoder matching(75);
+  EXPECT_NO_THROW(static_cast<void>(matching.decode_next(key)));
+  isa::DeltaEncodedFrame forged = delta;
+  forged.quality = 50;
+  EXPECT_THROW(static_cast<void>(matching.decode_next(forged)), std::invalid_argument);
+  EXPECT_NO_THROW(static_cast<void>(matching.decode_next(delta)));
+}
+
+TEST(MjpegDelta, DecoderRejectsUnknownModeBytes) {
+  isa::GrayFrame f;
+  f.width = 16;
+  f.height = 8;
+  f.pixels.assign(128, 100);
+  isa::MjpegDeltaEncoder enc(50);
+  isa::MjpegDeltaDecoder dec(50);
+  dec.decode_next(enc.encode_next(f));
+  f.pixels[3] = 140;
+  isa::DeltaEncodedFrame delta = enc.encode_next(f);
+  ASSERT_FALSE(delta.key);
+  ASSERT_EQ(delta.payload.at(0), 0);  // raw tokens
+  for (const int mode : {2, 3, 0x80, 0xff}) {
+    isa::MjpegDeltaDecoder d = dec;
+    delta.payload[0] = static_cast<std::uint8_t>(mode);
+    EXPECT_THROW(static_cast<void>(d.decode_next(delta)), std::invalid_argument) << mode;
+  }
+  delta.payload[0] = 0;
+  EXPECT_NO_THROW(static_cast<void>(dec.decode_next(delta)));
 }
 
 // ---- CSMA MAC -------------------------------------------------------------------

@@ -371,6 +371,14 @@ TEST(Mjpeg, DecodeRejectsTokenCountBeyondTheBitstream) {
   EXPECT_THROW(static_cast<void>(MjpegCodec(50).decode(enc)), std::invalid_argument);
 }
 
+TEST(Mjpeg, DecodeRejectsAStreamOfAnotherQuality) {
+  // Dequantizing a q=75 stream with the q=50 matrix would yield wrong
+  // pixels without any error.
+  const MjpegEncoded enc = MjpegCodec(75).encode(test_frame(16, 16, 3));
+  EXPECT_NO_THROW(static_cast<void>(MjpegCodec(75).decode(enc)));
+  EXPECT_THROW(static_cast<void>(MjpegCodec(50).decode(enc)), std::invalid_argument);
+}
+
 TEST(Mjpeg, RejectsNonBlockAlignedFrames) {
   MjpegCodec codec(50);
   GrayFrame f;
