@@ -416,7 +416,7 @@ TEST(Batched, StackUnstackRoundTrip) {
 TEST(Batched, ZooModelsBitExactAgainstPerSampleForward) {
   // The determinism contract of the hub's batched pass: batching changes
   // memory traffic, never per-sample arithmetic. Covers conv2d, depthwise,
-  // conv1d, fc, pooling, batchnorm, relu, softmax across the zoo.
+  // conv1d, fc, global pooling, relu, softmax across the zoo.
   const Model models[] = {make_kws_dscnn(), make_ecg_cnn1d(), make_vww_micronet()};
   for (const Model& m : models) {
     constexpr int kBatch = 3;
