@@ -56,13 +56,10 @@ TEST_F(PowerModelTest, ReductionFactorIsLarge) {
   // The architectural win (Fig. 1: 10s of mW -> uW class). The factor is
   // workload-dependent: enormous where the radio/CPU dominated (ECG),
   // bounded by the sensor front-end where sensing dominates (camera).
-  const auto reduction = [&](const WorkloadSpec& w) {
-    return model_.evaluate(NodeArchitecture::kConventional, w).node_total_w() /
-           model_.evaluate(NodeArchitecture::kHumanInspired, w).node_total_w();
-  };
-  EXPECT_GE(reduction(ecg_patch_workload()), 100.0);
-  EXPECT_GE(reduction(audio_pendant_workload()), 8.0);
-  EXPECT_GE(reduction(camera_node_workload()), 2.5);
+  const ArchitectureComparison cmp(model_, energy::Battery::coin_cell_1000mah());
+  EXPECT_GE(cmp.compare(ecg_patch_workload()).reduction_factor, 100.0);
+  EXPECT_GE(cmp.compare(audio_pendant_workload()).reduction_factor, 8.0);
+  EXPECT_GE(cmp.compare(camera_node_workload()).reduction_factor, 2.5);
 }
 
 TEST_F(PowerModelTest, HubInducedCostStaysBelowLeafSavings) {

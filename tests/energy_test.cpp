@@ -114,6 +114,16 @@ TEST(SensingPower, MonotoneIncreasing) {
   }
 }
 
+TEST(SensingPower, ExponentAboveOneTowardCameras) {
+  // Sensing gets super-linear toward high-rate (camera) regimes — the
+  // physics behind Fig. 3's steepening curve. Both rates lie on the
+  // 1 -> 4 Mbps segment, so the log-log slope between them is the local
+  // exponent at 2 Mbps.
+  SensingPowerModel m;
+  const double lo = 1.5 * Mbps, hi = 2.5 * Mbps;
+  EXPECT_GT(std::log(m.power_w(hi) / m.power_w(lo)) / std::log(hi / lo), 1.0);
+}
+
 TEST(SensingPower, CustomAnchorsRespected) {
   SensingPowerModel m({{1e3, 1e-6}, {1e6, 1e-3}});
   EXPECT_NEAR(m.power_w(1e3), 1e-6, 1e-12);

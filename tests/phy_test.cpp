@@ -132,6 +132,11 @@ TEST(NfmiChannel, RadiativeRegimeSlopeBeyondBoundary) {
 
 // ---- Noise ------------------------------------------------------------------
 
+TEST(Noise, ThermalFloorMinus174DbmPerHz) {
+  EXPECT_NEAR(units::to_dbm(thermal_noise_power_w(1.0)), -174.0, 0.2);
+  EXPECT_NEAR(units::to_dbm(thermal_noise_power_w(1e6)), -114.0, 0.2);
+}
+
 TEST(Noise, VoltageNoiseScalesWithSqrtRB) {
   const double v1 = thermal_noise_voltage_v(50.0, 1e6);
   const double v2 = thermal_noise_voltage_v(200.0, 1e6);
