@@ -75,11 +75,11 @@ Shape Conv2D::output_shape(const Shape& input) const {
 
 void Conv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws) const {
-  forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
+  forward_into_fused(in, in_shape, batch, out, ws, nullptr);
 }
 
 void Conv2D::forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                                Workspace& ws, const GemmTail& tail) const {
+                                Workspace& ws, const GemmTail* tail) const {
   IOB_EXPECTS(in_shape.size() == 3, "conv2d expects HWC input");
   IOB_EXPECTS(in_shape[2] == in_c_, "conv2d channel mismatch");
   const int ih = in_shape[0], iw = in_shape[1];
@@ -188,11 +188,11 @@ Shape DepthwiseConv2D::output_shape(const Shape& input) const {
 
 void DepthwiseConv2D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                                    Workspace& ws) const {
-  forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
+  forward_into_fused(in, in_shape, batch, out, ws, nullptr);
 }
 
 void DepthwiseConv2D::forward_into_fused(const float* in, const Shape& in_shape, int batch,
-                                         float* out, Workspace& ws, const GemmTail& tail) const {
+                                         float* out, Workspace& ws, const GemmTail* tail) const {
   (void)ws;
   IOB_EXPECTS(in_shape.size() == 3, "dwconv expects HWC input");
   IOB_EXPECTS(in_shape[2] == c_, "dwconv channel mismatch");
@@ -274,11 +274,11 @@ Shape Conv1D::output_shape(const Shape& input) const {
 
 void Conv1D::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                           Workspace& ws) const {
-  forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
+  forward_into_fused(in, in_shape, batch, out, ws, nullptr);
 }
 
 void Conv1D::forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                                Workspace& ws, const GemmTail& tail) const {
+                                Workspace& ws, const GemmTail* tail) const {
   IOB_EXPECTS(in_shape.size() == 2, "conv1d expects LC input");
   IOB_EXPECTS(in_shape[1] == in_c_, "conv1d channel mismatch");
   const int il = in_shape[0];

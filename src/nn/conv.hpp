@@ -31,7 +31,7 @@ class Conv2D final : public Layer {
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                          Workspace& ws, const GemmTail& tail) const override;
+                          Workspace& ws, const GemmTail* tail) const override;
   [[nodiscard]] std::int64_t scratch_elems(const Shape& in_shape) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
@@ -69,7 +69,7 @@ class DepthwiseConv2D final : public Layer {
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                          Workspace& ws, const GemmTail& tail) const override;
+                          Workspace& ws, const GemmTail* tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override;
@@ -101,7 +101,7 @@ class Conv1D final : public Layer {
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                          Workspace& ws, const GemmTail& tail) const override;
+                          Workspace& ws, const GemmTail* tail) const override;
   [[nodiscard]] std::int64_t scratch_elems(const Shape& in_shape) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;

@@ -54,7 +54,7 @@ bool cpu_has_avx512_vnni() {
 
 /// The scalar tail op: the exact per-element expressions of
 /// `Relu::forward_into`. The kernels below take the tail as a pointer that
-/// is non-null only when it applies (final K block, `GemmTail::Kind::kRelu`).
+/// is non-null only when it applies (a fused Relu, on the final K block).
 inline float apply_tail(const GemmTail& t, float v) {
   v = std::max(0.0f, v);
   if (t.cap > 0.0f) v = std::min(t.cap, v);
@@ -272,7 +272,7 @@ void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float*
 }
 
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
-                  const float* bias, float* C, const GemmTail& tail) {
+                  const float* bias, float* C, const GemmTail* tail) {
   IOB_EXPECTS(M >= 0 && N > 0 && K > 0, "gemm dims must be positive");
 #if IOB_GEMM_AVX2_DISPATCH
   const bool avx2 = cpu_has_avx2();
@@ -281,7 +281,7 @@ void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A
   for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
     const std::int64_t kc = std::min(kKc, K - k0);
     const bool first = k0 == 0;
-    const GemmTail* t = k0 + kc == K && tail.kind != GemmTail::Kind::kNone ? &tail : nullptr;
+    const GemmTail* t = k0 + kc == K ? tail : nullptr;
     const float* bk = B + k0 * N;
     std::int64_t m = 0;
     for (; m + kMr <= M; m += kMr) {
@@ -509,9 +509,8 @@ __attribute__((target("avx2,avx512f"))) void dwconv2d_avx512(const DwConv& g, in
 
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
-                   float* out, const GemmTail& tail) {
-  const DwConv g{ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, wpacked, bias, out,
-                 tail.kind != GemmTail::Kind::kNone ? &tail : nullptr};
+                   float* out, const GemmTail* tail) {
+  const DwConv g{ih, iw, c, k, stride, pad_top, pad_left, oh, ow, in, wpacked, bias, out, tail};
 #if IOB_GEMM_AVX2_DISPATCH
   if (cpu_has_avx512()) return dwconv2d_avx512(g, batch);
   if (cpu_has_avx2()) return dwconv2d_avx2(g, batch);

@@ -39,25 +39,24 @@ inline constexpr std::int64_t kKc = 256;
 /// term k of output r stays input k, preserving seed accumulation order.
 void pack_k_major(const float* src, std::int64_t rows, std::int64_t cols, float* dst);
 
-/// Elementwise tail fused into the GEMM epilogue: applied to each C element
-/// on the final K block, while the accumulator tile is still in registers,
-/// so a fused producer+tail pair skips one workspace ping-pong hop. The
+/// ReLU tail fused into the GEMM epilogue: applied to each C element on the
+/// final K block, while the accumulator tile is still in registers, so a
+/// fused producer+Relu pair skips one workspace ping-pong hop. The
 /// operations are the exact per-element expressions of `Relu::forward_into`,
 /// so fused results stay bit-exact vs running the ReLU as its own layer pass.
+/// Kernels take it by pointer; nullptr means no tail.
 struct GemmTail {
-  enum class Kind { kNone, kRelu };
-  Kind kind = Kind::kNone;
   float cap = 0.0f;  ///< relu clamp (<= 0 = uncapped)
 };
 
 /// C[M x N] = bias (broadcast per column, nullptr = 0) + A[M x K] * B[K x N],
-/// optionally followed by a fused elementwise `tail`.
+/// optionally followed by a fused ReLU `tail` (nullptr = none).
 /// All matrices row-major and contiguous. Accumulation per C element runs
 /// in increasing k order (K blocks processed in order, the partial sum
 /// parked in C between blocks), so results are bit-exact vs the naive
 /// `for k: acc += A[m][k] * B[k][n]` loop (with the tail applied after).
 void gemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K, const float* A, const float* B,
-                  const float* bias, float* C, const GemmTail& tail = {});
+                  const float* bias, float* C, const GemmTail* tail = nullptr);
 
 /// Extract NHWC conv patches into `col` ([batch * oh * ow] rows of
 /// kh * kw * ic floats, taps in (ky, kx, ic) order), zero-filling
@@ -71,11 +70,11 @@ void im2col_nhwc(int batch, int ih, int iw, int ic, int kh, int kw, int sh, int 
 /// over contiguous weight and input lanes). Out-of-range taps are skipped,
 /// matching the seed loop tap-for-tap: each channel starts from its bias
 /// and adds the in-range taps in (ky, kx) order, in a register. An optional
-/// fused ReLU `tail` is applied before the store, bit-exact vs running it as
-/// its own pass.
+/// fused ReLU `tail` (nullptr = none) is applied before the store, bit-exact
+/// vs running it as its own pass.
 void dwconv2d_nhwc(int batch, int ih, int iw, int c, int k, int stride, int pad_top, int pad_left,
                    int oh, int ow, const float* in, const float* wpacked, const float* bias,
-                   float* out, const GemmTail& tail = {});
+                   float* out, const GemmTail* tail = nullptr);
 
 // ---- int8 execution path ----------------------------------------------------
 //

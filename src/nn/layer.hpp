@@ -47,27 +47,19 @@ class Layer {
     return 0;
   }
 
-  /// Describe this layer as a fusable elementwise GEMM-epilogue tail. Relu
-  /// overrides it; everything else is not a tail. Returning true fills
-  /// `tail`; the fused pair is bit-exact vs running the tail as its own
-  /// pass, so `Model::run_into` fuses whenever both sides agree.
-  [[nodiscard]] virtual bool gemm_tail(GemmTail& tail) const {
-    (void)tail;
-    return false;
-  }
-
-  /// True for layers whose kernel can absorb a `GemmTail` in its epilogue:
-  /// the `gemm_blocked` lowerings (Conv2D, Conv1D, FullyConnected) and the
-  /// direct depthwise kernel (DepthwiseConv2D). Such layers must also
-  /// override `forward_into_fused`.
+  /// True for layers whose kernel can absorb a following Relu in its
+  /// epilogue: the `gemm_blocked` lowerings (Conv2D, Conv1D, FullyConnected)
+  /// and the direct depthwise kernel (DepthwiseConv2D). Such layers must
+  /// also override `forward_into_fused`; `Model::run_into` fuses every such
+  /// layer with a Relu right after it.
   [[nodiscard]] virtual bool supports_gemm_tail_fusion() const { return false; }
 
-  /// Fused execution: `forward_into` with `tail` applied inside the GEMM
-  /// epilogue — output shape and contents equal running this layer then the
-  /// tail layer, with one ping-pong hop saved. Only called when
-  /// `supports_gemm_tail_fusion()` is true.
+  /// Fused execution: `forward_into` with the ReLU `tail` applied inside the
+  /// GEMM epilogue (nullptr = none) — output shape and contents equal
+  /// running this layer then the Relu, with one ping-pong hop saved. Only
+  /// called when `supports_gemm_tail_fusion()` is true.
   virtual void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                                  Workspace& ws, const GemmTail& tail) const;
+                                  Workspace& ws, const GemmTail* tail) const;
 
   /// Output shape for an input shape (throws on incompatible input).
   [[nodiscard]] virtual Shape output_shape(const Shape& input) const = 0;

@@ -23,7 +23,7 @@ Tensor Layer::forward(const Tensor& input) const {
 }
 
 void Layer::forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                               Workspace& ws, const GemmTail& tail) const {
+                               Workspace& ws, const GemmTail* tail) const {
   (void)in;
   (void)in_shape;
   (void)batch;
@@ -54,11 +54,11 @@ FullyConnected::FullyConnected(int in_features, int out_features, std::vector<fl
 
 void FullyConnected::forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                                   Workspace& ws) const {
-  forward_into_fused(in, in_shape, batch, out, ws, GemmTail{});
+  forward_into_fused(in, in_shape, batch, out, ws, nullptr);
 }
 
 void FullyConnected::forward_into_fused(const float* in, const Shape& in_shape, int batch,
-                                        float* out, Workspace& ws, const GemmTail& tail) const {
+                                        float* out, Workspace& ws, const GemmTail* tail) const {
   (void)ws;
   IOB_EXPECTS(shape_elems(in_shape) == in_features_, "fc input size mismatch");
   gemm_blocked(batch, out_features_, in_features_, in, packed_.data(), bias_.data(), out, tail);
@@ -119,12 +119,6 @@ void Relu::forward_into(const float* in, const Shape& in_shape, int batch, float
     if (cap_ > 0.0f) v = std::min(cap_, v);
     out[i] = v;
   }
-}
-
-bool Relu::gemm_tail(GemmTail& tail) const {
-  tail.kind = GemmTail::Kind::kRelu;
-  tail.cap = cap_;
-  return true;
 }
 
 Shape Relu::output_shape(const Shape& input) const { return input; }

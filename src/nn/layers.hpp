@@ -21,7 +21,7 @@ class FullyConnected final : public Layer {
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
   [[nodiscard]] bool supports_gemm_tail_fusion() const override { return true; }
   void forward_into_fused(const float* in, const Shape& in_shape, int batch, float* out,
-                          Workspace& ws, const GemmTail& tail) const override;
+                          Workspace& ws, const GemmTail* tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override;
@@ -46,7 +46,6 @@ class Relu final : public Layer {
   void forward_into(const float* in, const Shape& in_shape, int batch, float* out,
                     Workspace& ws) const override;
   [[nodiscard]] Tensor forward_reference(const Tensor& input) const override;
-  [[nodiscard]] bool gemm_tail(GemmTail& tail) const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t macs(const Shape& input) const override;
   [[nodiscard]] std::uint64_t param_count() const override { return 0; }

@@ -6,6 +6,7 @@
 
 #include "common/expect.hpp"
 #include "nn/gemm.hpp"
+#include "nn/layers.hpp"
 #include "nn/workspace.hpp"
 
 namespace iob::nn {
@@ -35,14 +36,12 @@ void Model::add(LayerPtr layer) {
   layers_.push_back(std::move(layer));
   fuse_with_next_.push_back(false);
   // Fusion plan: a fusable producer (GEMM-lowered or depthwise) absorbs an
-  // immediately following elementwise tail into its epilogue (one
-  // ping-pong hop saved, bit-exact).
+  // immediately following Relu into its epilogue (one ping-pong hop saved,
+  // bit-exact).
   const std::size_t j = layers_.size() - 1;
-  if (j > 0 && layers_[j - 1]->supports_gemm_tail_fusion()) {
-    GemmTail tail;
-    if (layers_[j]->gemm_tail(tail)) {
-      fuse_with_next_[j - 1] = true;
-    }
+  if (j > 0 && layers_[j - 1]->supports_gemm_tail_fusion() &&
+      dynamic_cast<const Relu*>(layers_[j].get()) != nullptr) {
+    fuse_with_next_[j - 1] = true;
   }
   current_output_shape_ = out;
 }
@@ -119,12 +118,11 @@ ConstSpan Model::run_range_into(Workspace& ws, const float* input, int batch, st
     // caller staged there).
     float* next = cur == ws.ping() ? ws.pong() : ws.ping();
     if (fuse_with_next_[i] && i + 1 < last) {
-      // Fused producer+tail pair: one hop, tail applied in the GEMM
+      // Fused producer+Relu pair: one hop, the ReLU applied in the GEMM
       // epilogue (`cur` then holds layer i+1's output — same shape, since
-      // the tail is elementwise).
-      GemmTail tail;
-      layers_[i + 1]->gemm_tail(tail);
-      layers_[i]->forward_into_fused(cur, layer_input_shape(i), batch, next, ws, tail);
+      // the ReLU is elementwise).
+      const GemmTail tail{static_cast<const Relu&>(*layers_[i + 1]).cap()};
+      layers_[i]->forward_into_fused(cur, layer_input_shape(i), batch, next, ws, &tail);
       i += 2;
     } else {
       layers_[i]->forward_into(cur, layer_input_shape(i), batch, next, ws);

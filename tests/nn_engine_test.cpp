@@ -114,13 +114,8 @@ struct DispatchCapGuard {
 };
 
 /// The f32 tails a tier test sweeps: none, relu and relu6.
-std::vector<GemmTail> sweep_tails() {
-  std::vector<GemmTail> tails(3);
-  tails[1].kind = GemmTail::Kind::kRelu;
-  tails[2].kind = GemmTail::Kind::kRelu;
-  tails[2].cap = 6.0f;
-  return tails;
-}
+constexpr GemmTail kRelu{0.0f}, kRelu6{6.0f};
+const GemmTail* const kSweepTails[] = {nullptr, &kRelu, &kRelu6};
 
 TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
   // Every f32 tier (SSE2, AVX2 4x16, AVX-512 4x32) runs each lane through
@@ -135,18 +130,17 @@ TEST(GemmBlocked, DispatchTiersBitIdenticalUnderForcedCaps) {
   for (std::size_t i = 0; i < A.size(); ++i) A[i] = std::sin(static_cast<double>(i) * 0.37);
   for (std::size_t i = 0; i < B.size(); ++i) B[i] = std::cos(static_cast<double>(i) * 0.23);
   for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.1f * static_cast<float>(i) - 3.0f;
-  const std::vector<GemmTail> tails = sweep_tails();
   std::vector<float> want(static_cast<std::size_t>(kMaxM * kMaxN)), got(want.size());
   for (std::int64_t M = 1; M <= kMaxM; ++M) {
     for (const std::int64_t N : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 70}) {
       for (const std::int64_t K : {1, 40, 256, 257, 600}) {
-        for (std::size_t t = 0; t < tails.size(); ++t) {
+        for (std::size_t t = 0; t < std::size(kSweepTails); ++t) {
           const std::size_t bytes = static_cast<std::size_t>(M * N) * sizeof(float);
           set_kernel_dispatch_cap(0);
-          gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), want.data(), tails[t]);
+          gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), want.data(), kSweepTails[t]);
           for (const int cap : {1, 2, -1}) {
             set_kernel_dispatch_cap(cap);
-            gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), got.data(), tails[t]);
+            gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), got.data(), kSweepTails[t]);
             ASSERT_EQ(std::memcmp(want.data(), got.data(), bytes), 0)
                 << "cap " << cap << " M=" << M << " N=" << N << " K=" << K << " tail " << t;
           }
@@ -170,7 +164,6 @@ TEST(DwConv, DispatchTiersBitIdenticalUnderForcedCaps) {
     for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(static_cast<double>(i) * 0.41);
     for (std::size_t i = 0; i < w.size(); ++i) w[i] = std::cos(static_cast<double>(i) * 0.29);
     for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.05f * static_cast<float>(i) - 0.5f;
-    const std::vector<GemmTail> tails = sweep_tails();
     for (const int stride : {1, 2}) {
       const int oh = (ih + 2 * pad - k) / stride + 1, ow = (iw + 2 * pad - k) / stride + 1;
       const std::size_t n = static_cast<std::size_t>(batch * oh * ow * c);
@@ -178,16 +171,16 @@ TEST(DwConv, DispatchTiersBitIdenticalUnderForcedCaps) {
       set_kernel_dispatch_cap(0);
       dwconv2d_nhwc(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), w.data(),
                     bias.data(), plain.data());
-      for (std::size_t t = 0; t < tails.size(); ++t) {
-        const GemmTail& tail = tails[t];
+      for (std::size_t t = 0; t < std::size(kSweepTails); ++t) {
+        const GemmTail* tail = kSweepTails[t];
         set_kernel_dispatch_cap(0);
         dwconv2d_nhwc(batch, ih, iw, c, k, stride, pad, pad, oh, ow, in.data(), w.data(),
                       bias.data(), want.data(), tail);
         for (std::size_t i = 0; i < n; ++i) {
           float v = plain[i];
-          if (tail.kind == GemmTail::Kind::kRelu) {
+          if (tail != nullptr) {
             v = std::max(0.0f, v);
-            if (tail.cap > 0.0f) v = std::min(tail.cap, v);
+            if (tail->cap > 0.0f) v = std::min(tail->cap, v);
           }
           ASSERT_EQ(want[i], v) << "c " << c << " stride " << stride << " tail " << t << " i " << i;
         }
@@ -216,10 +209,8 @@ TEST(GemmTailFusion, ReluTailsBitExactVsSeparatePasses) {
   gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), plain.data());
 
   for (const float cap : {0.0f, 6.0f}) {
-    GemmTail relu;
-    relu.kind = GemmTail::Kind::kRelu;
-    relu.cap = cap;
-    gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), fused.data(), relu);
+    const GemmTail relu{cap};
+    gemm_blocked(M, N, K, A.data(), B.data(), bias.data(), fused.data(), &relu);
     for (std::size_t i = 0; i < plain.size(); ++i) {
       float want = std::max(0.0f, plain[i]);
       if (cap > 0.0f) want = std::min(cap, want);
