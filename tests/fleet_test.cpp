@@ -1,7 +1,7 @@
 // Unit tests for the fleet harness (core::Fleet): exhaustive, ordered grid
 // expansion; byte-identical parallel runs at 1/2/8 threads; marginal
 // aggregates checked against hand-computed values on a tiny 2x2 grid; and a
-// pinned digest of a grid that varies all twelve axes.
+// pinned digest of a grid that varies all eleven axes.
 
 #include <gtest/gtest.h>
 
@@ -282,9 +282,9 @@ const nn::Model& golden_model() {
   return m;
 }
 
-/// A grid with two or more values on every one of the twelve axes: fixed and
-/// adaptive splits, combined faults, the gym interference level, the running
-/// wearer and WiR-ULP on auto-sized slots.
+/// A grid with two or more values on every one of the eleven axes: combined
+/// faults, the gym interference level, the running wearer, WiR-ULP on
+/// auto-sized slots and a 500 us downlink window.
 core::FleetAxes golden_axes() {
   core::NodeClassSpec audio;
   audio.base.name = "audio";
@@ -323,9 +323,9 @@ core::FleetAxes golden_axes() {
   axes.node_counts = {2, 3};
   comm::TdmaConfig auto_slot;
   auto_slot.slot_s = 0.0;
-  comm::TdmaConfig auto_wide = auto_slot;
-  auto_wide.auto_slot_margin = 2.0;
-  axes.macs = {{"auto", auto_slot}, {"auto-wide", auto_wide}};
+  comm::TdmaConfig auto_downlink = auto_slot;
+  auto_downlink.downlink_slot_s = 500e-6;
+  axes.macs = {{"auto", auto_slot}, {"auto-dl", auto_downlink}};
   axes.mixes = {{"audio+bio", {audio, bio}}, {"bio+stress", {bio, stress}}};
   energy::HarvesterParams pv;
   pv.mean_power_w = 50e-6;
@@ -334,16 +334,6 @@ core::FleetAxes golden_axes() {
   axes.batch_windows = {0, 1};
   axes.precisions = {nn::Precision::kF32, nn::Precision::kInt8};
   axes.faults = {core::FaultVariant::kNone, core::FaultVariant::kCombined};
-  core::SplitVariant half;
-  half.label = "half";
-  half.enabled = true;
-  half.leaf_fraction = 0.5;
-  core::SplitVariant adaptive;
-  adaptive.label = "adaptive";
-  adaptive.enabled = true;
-  adaptive.adaptive = true;
-  adaptive.mission_time_s = 86400.0;
-  axes.splits = {{}, half, adaptive};
   axes.sir_levels = {{}, {"gym", {2, 1.0, -5.3, 20.0}}};
   axes.motion = {{}, {"running", true, phy::running_profile()}};
   axes.seeds = {7, 9};
@@ -357,16 +347,16 @@ TEST(Fleet, GoldenDigestOverEveryAxis) {
   // every serialized bit. The CSV prints doubles round-trip exact, so the
   // digest also pins the host libm's results (glibc on x86-64 here).
   const core::Fleet fleet(golden_axes());
-  ASSERT_EQ(fleet.size(), 6144u);
+  ASSERT_EQ(fleet.size(), 2048u);
   const std::vector<core::FleetPointResult> results = fleet.run(core::SweepRunner(4));
   const std::string csv = core::fleet_results_csv(results);
   const std::string summary = fleet.summarize(results).to_string();
   // Every non-default axis value left its mark.
-  for (const char* tag : {":f1", ":s1", ":s2", ":i1", ":m1", ":spl:", ":flt:"}) {
+  for (const char* tag : {":f1", ":i1", ":m1", ":flt:"}) {
     EXPECT_NE(csv.find(tag), std::string::npos) << tag;
   }
-  EXPECT_EQ(fnv1a(csv), 0x17a1d0b11f147dc2ULL);
-  EXPECT_EQ(fnv1a(summary), 0x456490c84fe17b50ULL);
+  EXPECT_EQ(fnv1a(csv), 0x0e7b8858972f779dULL);
+  EXPECT_EQ(fnv1a(summary), 0x858c748388208e3cULL);
 }
 
 // ---- owning-link NetworkSim -------------------------------------------------

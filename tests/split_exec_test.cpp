@@ -32,14 +32,17 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "comm/wir_link.hpp"
 #include "core/fleet.hpp"
 #include "core/sweep_runner.hpp"
 #include "energy/battery.hpp"
+#include "net/network_sim.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/layers.hpp"
@@ -50,6 +53,7 @@
 #include "partition/adaptive_split.hpp"
 #include "partition/cost_model.hpp"
 #include "partition/partitioner.hpp"
+#include "phy/body_motion.hpp"
 
 namespace iob {
 namespace {
@@ -625,6 +629,154 @@ TEST(SplitFleet, SplitSessionsBillTheSerializedWireSize) {
     EXPECT_EQ(nr.split_activation_bytes, nr.split_inferences * wire);
   }
   EXPECT_TRUE(saw_split_node);
+}
+
+// ---- split leaves on a hostile channel: pinned NetworkSim digest -------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Round-trip-exact text of a double, so the digest pins every bit.
+std::string exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+/// Three split leaves built directly on a `NetworkSim` (no fleet harness):
+/// a fixed int8 split, a fixed f32 split and an adaptive split whose battery
+/// puts the glide budget mid-ladder. Every leaf arms the degradation ladder
+/// and the network runs under the gym SIR level on a running wearer; each
+/// leaf's hub session resumes at the leaf's split.
+struct SplitNetworkRun {
+  net::NetworkReport report;
+  std::string text;  ///< round-trip-exact fields the digest pins
+};
+
+SplitNetworkRun run_split_network() {
+  const nn::Model& m = fleet_model();
+  const std::size_t n = m.layer_count();
+  const std::size_t half = static_cast<std::size_t>(std::lround(0.5 * static_cast<double>(n)));
+  constexpr double kRateBps = 64e3;
+  constexpr std::uint64_t kWindowBytes = 2'000;
+  // Short frames: the gym level loses most longer ones outright.
+  constexpr std::uint32_t kFrameBytes = 12;
+  const double period_s = static_cast<double>(kWindowBytes) * 8.0 / kRateBps;
+
+  net::NetworkConfig nc;
+  nc.seed = 17;
+  nc.hub.batch_window = 1;
+  nc.dynamics.interference = phy::SirLevel{2, 1.0, -5.3, 20.0};
+  nc.dynamics.motion = phy::running_profile();
+  net::NetworkSim sim(std::make_unique<comm::WiRLink>(), nc);
+
+  const auto add_leaf = [&](const std::string& name, nn::Precision precision,
+                            net::LeafSplit sp, double battery_mah) {
+    net::NodeConfig leaf;
+    leaf.name = name;
+    leaf.stream = name;
+    leaf.sense_power_w = 150e-6;
+    leaf.output_rate_bps = kRateBps;
+    leaf.frame_bytes = kFrameBytes;
+    leaf.slot_weight = 2;
+    leaf.settle_period_s = 0.05;
+    leaf.battery_mah = battery_mah;
+    leaf.degradation = net::DegradationConfig{};
+    sp.net = &m;
+    sp.precision = precision;
+    sp.period_s = period_s;
+    leaf.split = sp;
+    const std::size_t k = sp.adaptive ? sp.adaptive->candidates.front().split_at : sp.split_at;
+    sim.add_node(std::move(leaf));
+    net::SessionConfig s;
+    s.stream = name;
+    s.macs_per_inference = 2'500'000;
+    s.bytes_per_inference = kWindowBytes;
+    s.model = "kws-dscnn";
+    s.weight_bytes = 22'604;
+    s.forward_to_cloud = true;
+    s.net = &m;
+    s.precision = precision;
+    net::apply_split(s, k);
+    sim.add_session(std::move(s));
+  };
+
+  net::LeafSplit fixed;
+  fixed.split_at = half;
+  add_leaf("fixed-int8", nn::Precision::kInt8, fixed, 1000.0);
+  add_leaf("fixed-f32", nn::Precision::kF32, fixed, 1000.0);
+
+  partition::CostModel cost;
+  cost.transport = nn::Precision::kInt8;
+  const comm::WiRLink wir;
+  cost.leaf_hub = partition::CostModel::leg_from_link(wir, kRateBps, kFrameBytes);
+  cost.hub_cloud = partition::CostModel::default_uplink();
+  const partition::Partitioner part(m, cost);
+  net::LeafSplit adaptive;
+  partition::AdaptiveSplitConfig acfg;
+  acfg.candidates = partition::AdaptiveSplitController::candidates_from(part, 1.0 / period_s);
+  acfg.mission_time_s = 3600.0;
+  // Battery sized so the glide budget lands mid-ladder: the controller
+  // starts at the richest candidate and must step down at once.
+  const double p_mid = acfg.candidates[acfg.candidates.size() / 2].leaf_power_w;
+  adaptive.adaptive = acfg;
+  add_leaf("adaptive", nn::Precision::kInt8, adaptive, p_mid * 3600.0 / (3.6 * 3.0));
+
+  SplitNetworkRun run;
+  run.report = sim.run(4.0);
+  const net::NetworkReport& rep = run.report;
+  std::string& out = run.text;
+  out = exact(rep.hub_power_w) + "," + exact(rep.aggregate_goodput_bps) + "," +
+                    exact(rep.bus_utilization) + "," + exact(rep.elapsed_s) + "\n";
+  for (const net::NodeReport& r : rep.nodes) {
+    out += r.name + "," + exact(r.average_power_w) + "," + exact(r.comm_power_w) + "," +
+           exact(r.projected_life_days) + "," + std::to_string(r.frames_delivered) + "," +
+           std::to_string(r.frames_dropped) + "," + exact(r.mean_latency_s) + "," +
+           exact(r.p99ish_latency_s) + "," + std::to_string(r.dropped_arq) + "," +
+           std::to_string(r.dropped_overflow_clean) + "," + std::to_string(r.dropped_shed) +
+           "," + std::to_string(r.split_inferences) + "," +
+           std::to_string(r.split_activation_bytes) + "," + exact(r.split_compute_energy_j) +
+           "," + std::to_string(r.split_repartitions) + "," + std::to_string(r.split_at) + "," +
+           std::to_string(r.degradation_step) + "," + std::to_string(r.degradation_max_step) +
+           "," + std::to_string(r.degradation_transitions) + "," + exact(r.time_degraded_s) +
+           "," + exact(r.degradation_recovery_s) + "\n";
+    const net::SessionStats& st = sim.hub().session(r.name);
+    out += std::to_string(st.bytes_in) + "," + std::to_string(st.inferences) + "," +
+           exact(st.compute_energy_j) + "," + exact(st.uplink_energy_j) + "," +
+           std::to_string(st.batched_inferences) + "," + std::to_string(st.batched_passes) +
+           "," + exact(st.batched_compute_energy_j) + "," +
+           std::to_string(st.queued_latency_s.count()) + "," +
+           exact(st.queued_latency_s.mean()) + "," + exact(st.analytic_compute_energy_j) + "," +
+           exact(st.compute_energy_f32_j) + "," + exact(st.compute_energy_int8_j) + "," +
+           std::to_string(st.leaf_inferences) + "," + exact(st.leaf_compute_energy_j) + "," +
+           std::to_string(st.activation_bytes_shipped) + "," + std::to_string(st.repartitions) +
+           "," + std::to_string(st.repartition_dropped_bytes) + "," +
+           std::to_string(st.degradation_transitions) + "," + exact(st.degradation_time_s) +
+           "," + std::to_string(st.frames_saved_by_shedding) + "\n";
+  }
+  return run;
+}
+
+TEST(SplitNetwork, HostileChannelSplitLeavesDigestIsPinned) {
+  const SplitNetworkRun run = run_split_network();
+  // The digest covers the behaviours it pins: every leaf runs its prefix,
+  // the adaptive leaf moves its split and the ladder engages.
+  ASSERT_EQ(run.report.nodes.size(), 3u);
+  std::uint64_t max_step = 0;
+  for (const net::NodeReport& r : run.report.nodes) {
+    EXPECT_GT(r.split_inferences, 0u) << r.name;
+    max_step = std::max(max_step, r.degradation_max_step);
+  }
+  EXPECT_GT(run.report.nodes[2].split_repartitions, 0u);
+  EXPECT_GT(max_step, 0u);
+  EXPECT_EQ(run.text, run_split_network().text);  // same inputs, same bytes
+  EXPECT_EQ(fnv1a(run.text), 0x85c950a8f23fe755ULL);
 }
 
 }  // namespace
