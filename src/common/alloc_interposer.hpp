@@ -17,16 +17,37 @@
 namespace iob::alloc_interposer {
 /// Total operator-new calls since process start (all threads).
 inline std::atomic<std::uint64_t> new_calls{0};
+
+/// The one allocator behind every replaced operator new: counts the call
+/// and returns malloc's block (nullptr on failure).
+inline void* counted_malloc(std::size_t size) noexcept {
+  new_calls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
 }  // namespace iob::alloc_interposer
 
+// Every replaceable form that allocates without an alignment argument is
+// replaced, scalar and array, throwing and nothrow, so no block the
+// runtime hands out through one of them reaches a non-matching
+// deallocator. The aligned forms are left to the runtime as a matched set.
 void* operator new(std::size_t size) {
-  iob::alloc_interposer::new_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
+  void* p = iob::alloc_interposer::counted_malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
+void* operator new[](std::size_t size) {
+  void* p = iob::alloc_interposer::counted_malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return iob::alloc_interposer::counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return iob::alloc_interposer::counted_malloc(size);
+}
 
-// The interposed operator new above allocates with malloc, so free() here
+// The interposed operators new above allocate with malloc, so free() here
 // IS the matched deallocator; the compiler cannot see through the global
 // replacement and flags new/free pairs at inlined call sites.
 #if defined(__GNUC__)
@@ -35,6 +56,10 @@ void* operator new(std::size_t size) {
 #endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #if defined(__GNUC__)
 #pragma GCC diagnostic pop
 #endif
