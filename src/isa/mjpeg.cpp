@@ -97,23 +97,27 @@ MjpegEncoded MjpegCodec::encode(const GrayFrame& frame) const {
 }
 
 GrayFrame MjpegCodec::decode(const MjpegEncoded& encoded) const {
-  IOB_EXPECTS(encoded.quality == quality_, "stream quality differs from the decoder's");
-  IOB_EXPECTS(encoded.width > 0 && encoded.height > 0, "encoded dims must be positive");
-  IOB_EXPECTS(encoded.width % kBlock == 0 && encoded.height % kBlock == 0,
-              "encoded dims must be multiples of 8");
-  const std::vector<std::uint8_t> tokens =
-      detail::huffman_unwrap(encoded.payload.data(), encoded.payload.size());
+  return decode(encoded.width, encoded.height, encoded.quality, encoded.payload.data(),
+                encoded.payload.size());
+}
+
+GrayFrame MjpegCodec::decode(int width, int height, int quality, const std::uint8_t* payload,
+                             std::size_t size) const {
+  IOB_EXPECTS(quality == quality_, "stream quality differs from the decoder's");
+  IOB_EXPECTS(width > 0 && height > 0, "encoded dims must be positive");
+  IOB_EXPECTS(width % kBlock == 0 && height % kBlock == 0, "encoded dims must be multiples of 8");
+  const std::vector<std::uint8_t> tokens = detail::huffman_unwrap(payload, size);
   // Every block takes at least a DC byte and an EOB byte, so larger dims
   // are forged and must not size the frame.
-  IOB_EXPECTS(static_cast<std::uint64_t>(encoded.width / kBlock) *
-                      static_cast<std::uint64_t>(encoded.height / kBlock) <=
+  IOB_EXPECTS(static_cast<std::uint64_t>(width / kBlock) *
+                      static_cast<std::uint64_t>(height / kBlock) <=
                   tokens.size() / 2,
               "encoded dims exceed the token stream");
 
   const auto& zz = zigzag_order();
   GrayFrame frame;
-  frame.width = encoded.width;
-  frame.height = encoded.height;
+  frame.width = width;
+  frame.height = height;
   frame.pixels.assign(
       static_cast<std::size_t>(frame.width) * static_cast<std::size_t>(frame.height), 0);
 

@@ -10,6 +10,7 @@
 /// the byte stream. Each frame is self-contained (intra-only, like MJPEG),
 /// which is the right trade for a leaf node with no frame memory.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,6 +44,10 @@ class MjpegCodec {
   /// Throws std::invalid_argument on a malformed stream or one encoded at
   /// another quality (its pixels would dequantize with the wrong matrix).
   [[nodiscard]] GrayFrame decode(const MjpegEncoded& encoded) const;
+  /// The same decode over a payload held elsewhere (a key frame of a delta
+  /// stream is decoded in place, without copying it into an MjpegEncoded).
+  [[nodiscard]] GrayFrame decode(int width, int height, int quality,
+                                 const std::uint8_t* payload, std::size_t size) const;
 
   /// Compression ratio achieved on a frame (raw bytes / encoded bytes).
   [[nodiscard]] double compression_ratio(const GrayFrame& frame) const;

@@ -207,12 +207,8 @@ MjpegDeltaDecoder::MjpegDeltaDecoder(int quality) : intra_(quality) {}
 GrayFrame MjpegDeltaDecoder::decode_next(const DeltaEncodedFrame& encoded) {
   IOB_EXPECTS(encoded.quality == intra_.quality(), "stream quality differs from the decoder's");
   if (encoded.key) {
-    MjpegEncoded intra;
-    intra.width = encoded.width;
-    intra.height = encoded.height;
-    intra.quality = encoded.quality;
-    intra.payload = encoded.payload;
-    reference_ = intra_.decode(intra);
+    reference_ = intra_.decode(encoded.width, encoded.height, encoded.quality,
+                               encoded.payload.data(), encoded.payload.size());
     have_ref_ = true;
     return reference_;
   }
