@@ -20,6 +20,7 @@ TdmaBus::TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config)
   }
   IOB_EXPECTS(config_.slot_s > 0.0, "slot duration must be positive");
   IOB_EXPECTS(config_.guard_s >= 0.0, "guard time must be non-negative");
+  IOB_EXPECTS(config_.downlink_slot_s >= 0.0, "downlink window must be non-negative");
   IOB_EXPECTS(config_.health_ewma_alpha > 0.0 && config_.health_ewma_alpha <= 1.0,
               "health EWMA alpha must be in (0, 1]");
   const double min_frame = link_.frame_time_s(1);

@@ -39,7 +39,7 @@ struct TdmaConfig {
   unsigned max_retries = 8;      ///< per-frame retransmissions before drop
   std::size_t max_queue_frames = 4096;
   /// Reserved hub->leaf (actuation) window after the beacon; 0 disables the
-  /// downlink phase entirely (pure-uplink sensing networks).
+  /// downlink phase entirely (pure-uplink sensing networks); negative throws.
   double downlink_slot_s = 0.0;
   /// Largest payload an auto-sized slot must fit (only read when
   /// `slot_s <= 0`); matches `NodeConfig::frame_bytes`' default MTU.

@@ -267,6 +267,18 @@ TEST(Tdma, SlotMustFitFrame) {
   EXPECT_THROW(TdmaBus(sim, link, cfg), std::invalid_argument);
 }
 
+// A negative downlink window would shorten the superframe cadence that
+// hub outages keep, while running superframes skip the window: reject it.
+TEST(Tdma, NegativeDownlinkWindowRejected) {
+  sim::Simulator sim(7);
+  WiRLink link;
+  TdmaConfig cfg;
+  cfg.downlink_slot_s = -500e-6;
+  EXPECT_THROW(TdmaBus(sim, link, cfg), std::invalid_argument);
+  cfg.downlink_slot_s = 0.0;  // no downlink phase: still valid
+  EXPECT_NO_THROW(TdmaBus(sim, link, cfg));
+}
+
 TEST(Tdma, OversizeFrameRejectedEagerly) {
   // A frame larger than a slot could never transmit; enqueue must fail fast
   // rather than park it forever.
