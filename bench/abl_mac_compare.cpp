@@ -70,7 +70,7 @@ template <typename SetupTraffic>
 MacResult run_polling(SetupTraffic&& setup) {
   sim::Simulator sim(7);
   comm::WiRLink wir;
-  comm::PollingMac mac(sim, wir, comm::PollingConfig{});
+  comm::PollingMac mac(sim, wir);
   std::vector<comm::NodeId> ids;
   for (int i = 0; i < kNodes; ++i) ids.push_back(mac.add_node("n" + std::to_string(i)));
   std::vector<std::unique_ptr<workload::PeriodicSource>> periodic;
@@ -102,7 +102,7 @@ template <typename SetupTraffic>
 MacResult run_csma(SetupTraffic&& setup) {
   sim::Simulator sim(7);
   comm::WiRLink wir;
-  comm::CsmaBus bus(sim, wir, comm::CsmaConfig{});
+  comm::CsmaBus bus(sim, wir);
   std::vector<comm::NodeId> ids;
   for (int i = 0; i < kNodes; ++i) ids.push_back(bus.add_node("n" + std::to_string(i)));
   std::vector<std::unique_ptr<workload::PeriodicSource>> periodic;

@@ -86,7 +86,7 @@ net::NodeConfig audio_leaf(int i, bool controller) {
   c.frame_bytes = 240;
   c.settle_period_s = 0.1;  ///< responsive closed-loop sampling
   c.phase_s = 1e-3 * i;
-  if (controller) c.degradation = net::DegradationConfig{};
+  c.degradation = controller;
   return c;
 }
 

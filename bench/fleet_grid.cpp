@@ -122,7 +122,7 @@ core::FleetAxes make_axes(bool smoke) {
   axes.batch_windows = {0, 8};
 
   // Hub precision axis: f32 hubs vs int8 hubs (the analytic ledger prices
-  // int8 MACs at HubConfig::int8_mac_energy_scale; weight streaming is
+  // int8 MACs at Hub::kInt8MacEnergyScale; weight streaming is
   // int8-priced on both).
   axes.precisions = {nn::Precision::kF32, nn::Precision::kInt8};
 

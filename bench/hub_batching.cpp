@@ -156,7 +156,7 @@ void print_grid() {
 
   // Analytic bound: pure weight amortization at exact batch sizes.
   const auto curve =
-      core::hub_batching_curve(kMacsPerInference, kWeightBytes, net::HubConfig{}.energy_per_mac_j,
+      core::hub_batching_curve(kMacsPerInference, kWeightBytes, net::Hub::kEnergyPerMacJ,
                                kWeightByteEnergyJ, {1, 2, 4, 8});
   for (const auto& p : curve) {
     json.add("analytic_energy_per_inference_j_b" + std::to_string(p.batch),
@@ -171,7 +171,7 @@ void print_grid() {
   // Execute-and-meter: the same 4-leaf workload, but every staged inference
   // actually runs through the DS-CNN on the hub's allocation-free nn engine
   // (`Model::run_into`), and compute energy derives from measured kernel
-  // time x HubConfig::compute_power_w. The analytic MAC/weight number keeps
+  // time x Hub::kComputePowerW. The analytic MAC/weight number keeps
   // accruing alongside, so both energy models print per point.
   const double meter_duration_s = smoke ? 0.25 : 1.0;
   const nn::Model kws = nn::make_kws_dscnn();
@@ -193,7 +193,7 @@ void print_grid() {
              static_cast<double>(r.executed));
   }
   std::cout << mt.to_string();
-  common::print_note("measured = wall-clock kernel time x compute_power_w (250 mW NPU class);");
+  common::print_note("measured = wall-clock kernel time x hub compute power (250 mW NPU class);");
   common::print_note("host-dependent by design — it meters this machine's real kernel, so it");
   common::print_note("is reported for comparison and never fed to the deterministic fleet grids");
   json.write();

@@ -155,7 +155,7 @@ int main() {
                                               /*aggressor_sir_db=*/-7.9};
     net::NetworkSim sim(link, cfg);
     for (net::NodeConfig n : suite.nodes) {
-      if (!armed) n.degradation.reset();
+      n.degradation = armed;
       sim.add_node(std::move(n));
     }
     return sim.run(30.0);

@@ -36,10 +36,6 @@ struct ChannelDynamicsConfig {
   std::optional<phy::SirLevel> interference{};
   /// Body-motion process parameters; disengaged when absent.
   std::optional<phy::BodyMotionParams> motion{};
-  /// RNG stream id for the motion chain's sojourn/transition draws (forked
-  /// off the simulation root, like the MAC's 0x7d0a and the fault
-  /// injector's 0xFA017 — installing dynamics never perturbs other draws).
-  std::uint64_t stream_id = 0xC4A0;
 
   /// True when any component would actually perturb the channel.
   [[nodiscard]] bool any() const {
@@ -52,8 +48,8 @@ struct ChannelDynamicsConfig {
 class ChannelDynamics {
  public:
   /// \param link the bus link whose operating point the dynamics displace
-  /// \param rng  a stream forked for this process (`cfg.stream_id`); the
-  ///             motion chain forks sub-stream 1 of it, mirroring the
+  /// \param rng  a stream forked for this process (NetworkSim forks 0xC4A0);
+  ///             the motion chain forks sub-stream 1 of it, mirroring the
   ///             fault injector's channel sub-stream discipline
   ChannelDynamics(const Link& link, ChannelDynamicsConfig cfg, sim::Rng rng);
 

@@ -8,17 +8,23 @@
 
 namespace iob::comm {
 
-CsmaBus::CsmaBus(sim::Simulator& sim, const Link& link, CsmaConfig config)
-    : sim_(sim), link_(link), config_(config), rng_(sim.rng().fork(0xc5aa)) {
-  IOB_EXPECTS(config_.sigma_s > 0, "mini-slot must be positive");
-  IOB_EXPECTS(config_.cw_min >= 2 && config_.cw_max >= config_.cw_min,
-              "contention window bounds invalid");
-}
+namespace {
+
+constexpr double kSigmaS = 20e-6;  ///< contention mini-slot
+constexpr unsigned kCwMin = 8;     ///< initial contention window (mini-slots)
+constexpr unsigned kCwMax = 256;
+constexpr unsigned kMaxRetries = 8;  ///< attempts (collision or loss) before drop
+constexpr std::size_t kMaxQueueFrames = 4096;
+
+}  // namespace
+
+CsmaBus::CsmaBus(sim::Simulator& sim, const Link& link)
+    : sim_(sim), link_(link), rng_(sim.rng().fork(0xc5aa)) {}
 
 NodeId CsmaBus::add_node(std::string name) {
   IOB_EXPECTS(!running_, "cannot add nodes while the bus is running");
   NodeState st;
-  st.cw = config_.cw_min;
+  st.cw = kCwMin;
   nodes_.push_back(std::move(st));
   MacNodeStats s;
   s.name = std::move(name);
@@ -34,7 +40,7 @@ void CsmaBus::draw_backoff(NodeState& node) {
 bool CsmaBus::enqueue(NodeId node, Frame frame) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
   auto& st = nodes_[node - 1];
-  if (st.queue.size() >= config_.max_queue_frames) {
+  if (st.queue.size() >= kMaxQueueFrames) {
     ++stats_.nodes[node - 1].queue_overflows;
     return false;
   }
@@ -43,7 +49,7 @@ bool CsmaBus::enqueue(NodeId node, Frame frame) {
   const bool was_empty = st.queue.empty();
   st.queue.push_back(std::move(frame));
   if (was_empty) {
-    st.cw = config_.cw_min;
+    st.cw = kCwMin;
     st.attempts = 0;
     draw_backoff(st);
   }
@@ -88,7 +94,7 @@ void CsmaBus::run_round() {
   for (const auto& n : nodes_) {
     if (!n.queue.empty()) min_backoff = std::min(min_backoff, n.backoff);
   }
-  const double wait = static_cast<double>(min_backoff) * config_.sigma_s;
+  const double wait = static_cast<double>(min_backoff) * kSigmaS;
 
   // All backlogged nodes sense the medium while counting down.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -125,11 +131,11 @@ void CsmaBus::run_round() {
     const bool lost = rng_.bernoulli(link_.frame_error_rate(frame.payload_bytes));
     if (lost) {
       ++ns.frames_retried;
-      if (++node.attempts > config_.max_retries) {
+      if (++node.attempts > kMaxRetries) {
         ++ns.frames_dropped;
         node.queue.pop_front();
         node.attempts = 0;
-        node.cw = config_.cw_min;
+        node.cw = kCwMin;
       }
     } else {
       ++ns.frames_delivered;
@@ -137,7 +143,7 @@ void CsmaBus::run_round() {
       ns.latency_s.add(tx_end - frame.created_s);
       node.queue.pop_front();
       node.attempts = 0;
-      node.cw = config_.cw_min;
+      node.cw = kCwMin;
       if (on_delivery_) {
         sim_.at(tx_end, [this, frame, tx_end] { on_delivery_(frame, tx_end); });
       }
@@ -153,15 +159,15 @@ void CsmaBus::run_round() {
       auto& ns = stats_.nodes[w];
       ns.tx_energy_j += link_.frame_tx_energy_j(node.queue.front().payload_bytes);
       ++ns.frames_retried;
-      if (++node.attempts > config_.max_retries) {
+      if (++node.attempts > kMaxRetries) {
         ++ns.frames_dropped;
         node.queue.pop_front();
         node.attempts = 0;
-        node.cw = config_.cw_min;
+        node.cw = kCwMin;
         if (!node.queue.empty()) draw_backoff(node);
         continue;
       }
-      node.cw = std::min(node.cw * 2, config_.cw_max);
+      node.cw = std::min(node.cw * 2, kCwMax);
       draw_backoff(node);
     }
   }

@@ -21,19 +21,13 @@
 
 namespace iob::comm {
 
-struct CsmaConfig {
-  double sigma_s = 20e-6;       ///< contention mini-slot
-  unsigned cw_min = 8;          ///< initial contention window (mini-slots)
-  unsigned cw_max = 256;
-  unsigned max_retries = 8;     ///< attempts (collision or loss) before drop
-  std::size_t max_queue_frames = 4096;
-};
-
+/// Contention parameters are fixed (csma.cpp): 20 us mini-slots, windows of
+/// 8..256 mini-slots, 8 attempts per frame and a 4096-frame queue per node.
 class CsmaBus {
  public:
   using DeliveryHandler = std::function<void(const Frame&, sim::Time)>;
 
-  CsmaBus(sim::Simulator& sim, const Link& link, CsmaConfig config = {});
+  CsmaBus(sim::Simulator& sim, const Link& link);
 
   NodeId add_node(std::string name);
   bool enqueue(NodeId node, Frame frame);
@@ -60,7 +54,6 @@ class CsmaBus {
 
   sim::Simulator& sim_;
   const Link& link_;
-  CsmaConfig config_;
   std::vector<NodeState> nodes_;
   MacStats stats_;
   DeliveryHandler on_delivery_;

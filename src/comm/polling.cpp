@@ -6,8 +6,20 @@
 
 namespace iob::comm {
 
-PollingMac::PollingMac(sim::Simulator& sim, const Link& link, PollingConfig config)
-    : sim_(sim), link_(link), config_(config), rng_(sim.rng().fork(0x901d)) {}
+namespace {
+
+constexpr std::uint32_t kPollBytes = 4;     ///< hub poll frame payload
+constexpr std::uint32_t kNothingBytes = 2;  ///< empty reply payload
+constexpr unsigned kMaxRetries = 8;
+constexpr std::size_t kMaxQueueFrames = 4096;
+/// Fraction of RX active power a leaf pays while idle-listening for polls
+/// (1.0 = full RX; <1 would model a wake-receiver assist).
+constexpr double kIdleListenFactor = 1.0;
+
+}  // namespace
+
+PollingMac::PollingMac(sim::Simulator& sim, const Link& link)
+    : sim_(sim), link_(link), rng_(sim.rng().fork(0x901d)) {}
 
 NodeId PollingMac::add_node(std::string name) {
   IOB_EXPECTS(!running_, "cannot add nodes while the MAC is running");
@@ -21,7 +33,7 @@ NodeId PollingMac::add_node(std::string name) {
 bool PollingMac::enqueue(NodeId node, Frame frame) {
   IOB_EXPECTS(node >= 1 && node <= nodes_.size(), "unknown node id");
   auto& st = nodes_[node - 1];
-  if (st.queue.size() >= config_.max_queue_frames) {
+  if (st.queue.size() >= kMaxQueueFrames) {
     ++stats_.nodes[node - 1].queue_overflows;
     return false;
   }
@@ -43,10 +55,10 @@ void PollingMac::settle_idle_energy() {
   const sim::Time now = sim_.now();
   if (now <= idle_settled_until_) return;
   const double dt = now - idle_settled_until_;
-  // Every leaf idle-listens between polls; charge the configured fraction of
-  // RX power for the elapsed wall time (airtime double-count is negligible
-  // at the utilizations of interest, and conservative otherwise).
-  const double w = link_.spec().rx_power_w * config_.idle_listen_factor;
+  // Every leaf idle-listens between polls; charge kIdleListenFactor of RX
+  // power for the elapsed wall time (airtime double-count is negligible at
+  // the utilizations of interest, and conservative otherwise).
+  const double w = link_.spec().rx_power_w * kIdleListenFactor;
   for (auto& ns : stats_.nodes) ns.rx_energy_j += w * dt;
   idle_settled_until_ = now;
   stats_.elapsed_s = now - started_at_;
@@ -63,15 +75,15 @@ void PollingMac::poll_next() {
 
   // Hub poll; the polled leaf receives it (its idle listening already covers
   // the RX window energetically; the poll airtime occupies the medium).
-  const double poll_air = link_.frame_time_s(config_.poll_bytes);
-  stats_.hub_tx_energy_j += link_.frame_tx_energy_j(config_.poll_bytes);
+  const double poll_air = link_.frame_time_s(kPollBytes);
+  stats_.hub_tx_energy_j += link_.frame_tx_energy_j(kPollBytes);
   stats_.busy_airtime_s += poll_air;
 
   double reply_air = 0.0;
   if (node.queue.empty()) {
-    reply_air = link_.frame_time_s(config_.nothing_bytes);
-    ns.tx_energy_j += link_.frame_tx_energy_j(config_.nothing_bytes);
-    stats_.hub_rx_energy_j += link_.frame_rx_energy_j(config_.nothing_bytes);
+    reply_air = link_.frame_time_s(kNothingBytes);
+    ns.tx_energy_j += link_.frame_tx_energy_j(kNothingBytes);
+    stats_.hub_rx_energy_j += link_.frame_rx_energy_j(kNothingBytes);
   } else {
     Frame& head = node.queue.front();
     reply_air = link_.frame_time_s(head.payload_bytes);
@@ -81,7 +93,7 @@ void PollingMac::poll_next() {
     const bool lost = rng_.bernoulli(link_.frame_error_rate(head.payload_bytes));
     if (lost) {
       ++ns.frames_retried;
-      if (++node.head_retries > config_.max_retries) {
+      if (++node.head_retries > kMaxRetries) {
         ++ns.frames_dropped;
         node.queue.pop_front();
         node.head_retries = 0;

@@ -19,21 +19,14 @@
 
 namespace iob::comm {
 
-struct PollingConfig {
-  std::uint32_t poll_bytes = 4;       ///< hub poll frame payload
-  std::uint32_t nothing_bytes = 2;    ///< empty reply payload
-  unsigned max_retries = 8;
-  std::size_t max_queue_frames = 4096;
-  /// Fraction of RX active power a leaf pays while idle-listening for polls
-  /// (1.0 = full RX; <1 models a wake-receiver assist).
-  double idle_listen_factor = 1.0;
-};
-
+/// Poll parameters are fixed (polling.cpp): 4-byte polls, 2-byte empty
+/// replies, 8 retransmissions per frame, a 4096-frame queue per node and
+/// idle listening at full RX power.
 class PollingMac {
  public:
   using DeliveryHandler = std::function<void(const Frame&, sim::Time)>;
 
-  PollingMac(sim::Simulator& sim, const Link& link, PollingConfig config = {});
+  PollingMac(sim::Simulator& sim, const Link& link);
 
   NodeId add_node(std::string name);
   bool enqueue(NodeId node, Frame frame);
@@ -58,7 +51,6 @@ class PollingMac {
 
   sim::Simulator& sim_;
   const Link& link_;
-  PollingConfig config_;
   std::vector<NodeState> nodes_;
   MacStats stats_;
   DeliveryHandler on_delivery_;

@@ -8,6 +8,20 @@
 
 namespace iob::comm {
 
+namespace {
+
+constexpr double kGuardS = 20e-6;      ///< inter-slot guard
+constexpr std::uint32_t kBeaconBytes = 8;
+constexpr unsigned kMaxRetries = 8;    ///< per-frame retransmissions before drop
+/// Headroom factor on an auto-sized slot (> 1 leaves room for the
+/// occasional second small frame, mirroring the Wi-R default's slack).
+constexpr double kAutoSlotMargin = 1.25;
+/// Smoothing factor for the per-node delivery-ratio / retry-rate EWMAs in
+/// `MacNodeStats` (updated once per superframe with attempts).
+constexpr double kHealthEwmaAlpha = 0.25;
+
+}  // namespace
+
 TdmaBus::TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config)
     : sim_(sim), link_(link), config_(config), rng_(sim.rng().fork(0x7d0a)) {
   if (config_.slot_s <= 0.0) {
@@ -15,14 +29,10 @@ TdmaBus::TdmaBus(sim::Simulator& sim, const Link& link, TdmaConfig config)
     // margin, so slower buses (BLE/NFMI/ULP-Wi-R) stop inheriting a slot
     // constant tuned for Wi-R's 4 Mb/s PHY.
     IOB_EXPECTS(config_.auto_slot_mtu_bytes >= 1, "auto-slot MTU must be at least 1 byte");
-    IOB_EXPECTS(config_.auto_slot_margin >= 1.0, "auto-slot margin must be >= 1");
-    config_.slot_s = link_.frame_time_s(config_.auto_slot_mtu_bytes) * config_.auto_slot_margin;
+    config_.slot_s = link_.frame_time_s(config_.auto_slot_mtu_bytes) * kAutoSlotMargin;
   }
   IOB_EXPECTS(config_.slot_s > 0.0, "slot duration must be positive");
-  IOB_EXPECTS(config_.guard_s >= 0.0, "guard time must be non-negative");
   IOB_EXPECTS(config_.downlink_slot_s >= 0.0, "downlink window must be non-negative");
-  IOB_EXPECTS(config_.health_ewma_alpha > 0.0 && config_.health_ewma_alpha <= 1.0,
-              "health EWMA alpha must be in (0, 1]");
   const double min_frame = link_.frame_time_s(1);
   IOB_EXPECTS(config_.slot_s >= min_frame, "slot must fit at least a minimal frame");
 }
@@ -76,11 +86,11 @@ bool TdmaBus::enqueue_downlink(NodeId dst, Frame frame) {
 }
 
 double TdmaBus::superframe_duration_s() const {
-  const double beacon = link_.frame_time_s(config_.beacon_bytes);
+  const double beacon = link_.frame_time_s(kBeaconBytes);
   unsigned total_slots = 0;
   for (const auto& n : nodes_) total_slots += n.weight;
   return beacon + config_.downlink_slot_s +
-         static_cast<double>(total_slots) * (config_.slot_s + config_.guard_s);
+         static_cast<double>(total_slots) * (config_.slot_s + kGuardS);
 }
 
 void TdmaBus::start(sim::Time t0) {
@@ -124,7 +134,7 @@ double TdmaBus::frame_loss_probability(sim::Time t, std::uint32_t payload_bytes)
 }
 
 void TdmaBus::update_health_ewmas() {
-  const double a = config_.health_ewma_alpha;
+  const double a = kHealthEwmaAlpha;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     auto& st = nodes_[i];
     auto& ns = stats_.nodes[i];
@@ -158,11 +168,11 @@ void TdmaBus::run_superframe() {
   }
 
   // Beacon: hub transmits, every powered leaf listens to resynchronize.
-  const double beacon_air = link_.frame_time_s(config_.beacon_bytes);
-  stats_.hub_tx_energy_j += link_.frame_tx_energy_j(config_.beacon_bytes);
+  const double beacon_air = link_.frame_time_s(kBeaconBytes);
+  stats_.hub_tx_energy_j += link_.frame_tx_energy_j(kBeaconBytes);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].powered) {
-      stats_.nodes[i].rx_energy_j += link_.frame_rx_energy_j(config_.beacon_bytes);
+      stats_.nodes[i].rx_energy_j += link_.frame_rx_energy_j(kBeaconBytes);
     }
   }
   stats_.busy_airtime_s += beacon_air;
@@ -179,7 +189,7 @@ void TdmaBus::run_superframe() {
     for (unsigned s = 0; s < nodes_[i].weight; ++s) {
       const double used = run_slot(i, cursor);
       stats_.busy_airtime_s += used;
-      cursor += config_.slot_s + config_.guard_s;
+      cursor += config_.slot_s + kGuardS;
     }
   }
 
@@ -244,7 +254,7 @@ double TdmaBus::run_slot(std::size_t node_idx, sim::Time slot_start) {
     const bool lost = rng_.bernoulli(frame_loss_probability(slot_start + used, head.payload_bytes));
     if (lost) {
       ++ns.frames_retried;
-      if (++node.head_retries > config_.max_retries) {
+      if (++node.head_retries > kMaxRetries) {
         ++ns.frames_dropped;
         ++ns.frames_dropped_arq;
         node.queue.pop_front();

@@ -26,17 +26,17 @@ namespace iob::comm {
 class ChannelDynamics;
 class GilbertElliott;
 
+/// The bus's fixed parameters live beside their reader in tdma.cpp: a 20 us
+/// inter-slot guard, an 8-byte beacon, 8 retransmissions per frame before a
+/// drop, a x1.25 auto-slot margin and a 0.25 health-EWMA smoothing factor.
 struct TdmaConfig {
   /// Per-slot duration. Non-positive requests *auto-sizing*: the bus
   /// derives the slot from its link's rate at construction —
-  /// `frame_time_s(auto_slot_mtu_bytes) * auto_slot_margin` — so BLE/NFMI/
-  /// ULP-Wi-R populations get slots that actually fit their frames instead
-  /// of inheriting Wi-R's hand-set 1 ms. The positive default keeps every
+  /// `frame_time_s(auto_slot_mtu_bytes) * 1.25` — so BLE/NFMI/ULP-Wi-R
+  /// populations get slots that actually fit their frames instead of
+  /// inheriting Wi-R's hand-set 1 ms. The positive default keeps every
   /// existing configuration bit-identical.
   double slot_s = 1e-3;
-  double guard_s = 20e-6;        ///< inter-slot guard
-  std::uint32_t beacon_bytes = 8;
-  unsigned max_retries = 8;      ///< per-frame retransmissions before drop
   std::size_t max_queue_frames = 4096;
   /// Reserved hub->leaf (actuation) window after the beacon; 0 disables the
   /// downlink phase entirely (pure-uplink sensing networks); negative throws.
@@ -44,12 +44,6 @@ struct TdmaConfig {
   /// Largest payload an auto-sized slot must fit (only read when
   /// `slot_s <= 0`); matches `NodeConfig::frame_bytes`' default MTU.
   std::uint32_t auto_slot_mtu_bytes = 240;
-  /// Headroom factor on the auto-sized slot (> 1 leaves room for the
-  /// occasional second small frame, mirroring the Wi-R default's slack).
-  double auto_slot_margin = 1.25;
-  /// Smoothing factor for the per-node delivery-ratio / retry-rate EWMAs
-  /// in `MacNodeStats` (updated once per superframe with attempts).
-  double health_ewma_alpha = 0.25;
 };
 
 class TdmaBus {

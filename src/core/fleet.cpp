@@ -11,9 +11,6 @@
 #include "comm/wir_link.hpp"
 #include "common/expect.hpp"
 #include "common/table.hpp"
-#include "nn/model.hpp"
-#include "partition/adaptive_split.hpp"
-#include "partition/partitioner.hpp"
 
 namespace iob::core {
 
@@ -57,7 +54,6 @@ std::string to_string(FleetAxis axis) {
     case kAxisPrecision: return "precision";
     case kAxisSeed: return "seed";
     case kAxisFault: return "faults";
-    case kAxisSplit: return "split";
     case kAxisSir: return "interference";
     case kAxisMotion: return "motion";
     default: return "unknown";
@@ -124,7 +120,7 @@ std::unique_ptr<const comm::Link> make_bus_link(BusKind kind) {
 std::size_t FleetAxes::size() const {
   return node_counts.size() * macs.size() * mixes.size() * harvests.size() *
          buses.size() * batch_windows.size() * precisions.size() * faults.size() *
-         splits.size() * sir_levels.size() * motion.size() * seeds.size();
+         sir_levels.size() * motion.size() * seeds.size();
 }
 
 namespace {
@@ -147,47 +143,6 @@ const NodeClassSpec& select_node_class(const NodeMix& mix, int i) {
   return classes.back();
 }
 
-/// Does this class participate in the point's split axis? Only classes
-/// whose hub session carries an executable model can be partitioned.
-bool class_splits(const FleetPoint& p, const NodeClassSpec& cls) {
-  return p.split.enabled && cls.session && cls.session->net != nullptr;
-}
-
-/// Split-inference period: the time the class's raw stream took to fill one
-/// unsplit inference window, so splitting preserves the inference rate.
-double split_period_s(const NodeClassSpec& cls) {
-  return static_cast<double>(cls.session->bytes_per_inference) * 8.0 /
-         cls.base.output_rate_bps;
-}
-
-/// Fixed split point: round(leaf_fraction * n), clamped to [0, n].
-std::size_t split_point_for(const nn::Model& net, double fraction) {
-  const double n = static_cast<double>(net.layer_count());
-  const double k = std::round(fraction * n);
-  return static_cast<std::size_t>(std::clamp(k, 0.0, n));
-}
-
-/// Adaptive candidate list for a class: the analytic `CostModel` with the
-/// variant's leaf silicon, the point's bus link priced at the class's
-/// offered rate, and the point's transport precision. Pure function of the
-/// point spec — deterministic across threads.
-partition::AdaptiveSplitConfig adaptive_config_for(const FleetPoint& p,
-                                                   const NodeClassSpec& cls) {
-  partition::CostModel cost;
-  cost.transport = p.precision;
-  cost.leaf.energy_per_mac_j = p.split.leaf_energy_per_mac_j;
-  const std::unique_ptr<const comm::Link> link = make_bus_link(p.bus);
-  cost.leaf_hub = partition::CostModel::leg_from_link(*link, cls.base.output_rate_bps,
-                                                      cls.base.frame_bytes);
-  cost.hub_cloud = partition::CostModel::default_uplink();
-  const partition::Partitioner part(*cls.session->net, cost);
-  partition::AdaptiveSplitConfig acfg;
-  acfg.candidates =
-      partition::AdaptiveSplitController::candidates_from(part, 1.0 / split_period_s(cls));
-  acfg.mission_time_s = p.split.mission_time_s;
-  return acfg;
-}
-
 /// Resolve the config a class gives to node `i` of point `p`.
 net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& cls, int i) {
   static const std::string kDefaultStream = net::NodeConfig{}.stream;
@@ -198,20 +153,6 @@ net::NodeConfig node_config_for_class(const FleetPoint& p, const NodeClassSpec& 
   const std::string& base_stream = cls.base.stream;
   cfg.stream = (base_stream.empty() || base_stream == kDefaultStream) ? cfg.name : base_stream;
   if (p.harvest.harvester) cfg.harvester = p.harvest.harvester;
-  if (class_splits(p, cls)) {
-    net::LeafSplit sp;
-    sp.net = cls.session->net;
-    sp.precision = p.precision;
-    sp.period_s = split_period_s(cls);
-    sp.energy_per_mac_j = p.split.leaf_energy_per_mac_j;
-    if (p.split.adaptive) {
-      sp.adaptive = adaptive_config_for(p, cls);
-      sp.split_at = sp.adaptive->candidates.front().split_at;
-    } else {
-      sp.split_at = split_point_for(*sp.net, p.split.leaf_fraction);
-    }
-    cfg.split = std::move(sp);
-  }
   return cfg;
 }
 
@@ -241,16 +182,11 @@ std::unique_ptr<net::NetworkSim> build_fleet_point(const FleetPoint& p) {
     const NodeClassSpec& cls = select_node_class(p.mix, i);
     net::NodeConfig cfg = node_config_for_class(p, cls, i);
     const std::string stream = cfg.stream;
-    // The hub session resumes where the node's split starts (the adaptive
-    // controller's richest candidate), so both read the one split point.
-    const std::size_t split_at = cfg.split ? cfg.split->split_at : 0;
     sim->add_node(std::move(cfg));
     if (cls.session) {
       net::SessionConfig s = *cls.session;
       s.stream = stream;
       s.precision = p.precision;  // the precision axis reaches every session
-      // The hub's share of a split class is the layer suffix.
-      if (class_splits(p, cls)) net::apply_split(s, split_at);
       sim->add_session(std::move(s));
     }
   }
@@ -298,15 +234,13 @@ std::string fleet_csv_header() {
 std::string fleet_result_row(const FleetPointResult& r) {
   std::string out = std::to_string(r.index) + ",";
   // Byte-compat contract: the coord prefix serializes exactly the eight
-  // pre-fault axes; the fault/split/SIR/motion coordinates appear only as
-  // ":f<i>" / ":s<i>" / ":i<i>" / ":m<i>" suffixes on points actually swept
-  // off the clean regime, so default grids stay byte-identical to older
-  // output.
+  // pre-fault axes; the fault/SIR/motion coordinates appear only as
+  // ":f<i>" / ":i<i>" / ":m<i>" suffixes on points actually swept off the
+  // clean regime, so default grids stay byte-identical to older output.
   for (std::size_t a = 0; a <= kAxisSeed; ++a) {
     out += std::to_string(r.coord[a]) + (a < kAxisSeed ? ":" : "");
   }
   if (r.coord[kAxisFault] != 0) out += ":f" + std::to_string(r.coord[kAxisFault]);
-  if (r.coord[kAxisSplit] != 0) out += ":s" + std::to_string(r.coord[kAxisSplit]);
   if (r.coord[kAxisSir] != 0) out += ":i" + std::to_string(r.coord[kAxisSir]);
   if (r.coord[kAxisMotion] != 0) out += ":m" + std::to_string(r.coord[kAxisMotion]);
   out += "," + exact(r.drop_rate) + "," + exact(r.mean_latency_s) + "," +
@@ -333,15 +267,6 @@ std::string fleet_result_row(const FleetPointResult& r) {
         out += ":" + std::to_string(n.dropped_overflow_clean) + ":" +
                std::to_string(n.dropped_shed);
       }
-    }
-    // Split telemetry serializes only for nodes that actually ran a
-    // split (clean-path rows are untouched bytes).
-    if (n.split_inferences > 0 || n.split_repartitions > 0) {
-      out += ":spl:" + std::to_string(n.split_at) + ":" +
-             std::to_string(n.split_inferences) + ":" +
-             std::to_string(n.split_activation_bytes) + ":" +
-             exact(n.split_compute_energy_j) + ":" +
-             std::to_string(n.split_repartitions);
     }
   }
   if (r.report.hub_crashes > 0) {
@@ -390,20 +315,12 @@ Fleet::Fleet(FleetAxes axes) : axes_(std::move(axes)) {
   IOB_EXPECTS(!axes_.batch_windows.empty(), "batch_windows axis is empty");
   IOB_EXPECTS(!axes_.precisions.empty(), "precisions axis is empty");
   IOB_EXPECTS(!axes_.faults.empty(), "faults axis is empty");
-  IOB_EXPECTS(!axes_.splits.empty(), "splits axis is empty");
   IOB_EXPECTS(!axes_.sir_levels.empty(), "sir_levels axis is empty");
   IOB_EXPECTS(!axes_.motion.empty(), "motion axis is empty");
   IOB_EXPECTS(!axes_.seeds.empty(), "seeds axis is empty");
   for (const SirLevelVariant& iv : axes_.sir_levels) {
     IOB_EXPECTS(iv.level.duty_cycle >= 0.0 && iv.level.duty_cycle <= 1.0,
                 "aggressor duty cycle must be in [0, 1]");
-  }
-  for (const SplitVariant& sv : axes_.splits) {
-    if (!sv.enabled) continue;
-    IOB_EXPECTS(sv.leaf_fraction >= 0.0 && sv.leaf_fraction <= 1.0,
-                "split leaf fraction must be in [0, 1]");
-    IOB_EXPECTS(sv.leaf_energy_per_mac_j >= 0.0, "leaf energy per MAC must be non-negative");
-    IOB_EXPECTS(sv.mission_time_s > 0.0, "split mission time must be positive");
   }
   IOB_EXPECTS(axes_.duration_s > 0, "duration must be positive");
   for (const int n : axes_.node_counts) {
@@ -430,7 +347,6 @@ FleetPoint Fleet::point_at(std::size_t index) const {
   const std::size_t si = next_digit(axes_.seeds.size());
   const std::size_t oi = next_digit(axes_.motion.size());
   const std::size_t ii = next_digit(axes_.sir_levels.size());
-  const std::size_t li = next_digit(axes_.splits.size());
   const std::size_t fi = next_digit(axes_.faults.size());
   const std::size_t pi = next_digit(axes_.precisions.size());
   const std::size_t wi = next_digit(axes_.batch_windows.size());
@@ -442,7 +358,7 @@ FleetPoint Fleet::point_at(std::size_t index) const {
 
   FleetPoint p;
   p.index = index;
-  p.coord = {ni, mi, xi, hi, bi, wi, pi, si, fi, li, ii, oi};
+  p.coord = {ni, mi, xi, hi, bi, wi, pi, si, fi, ii, oi};
   p.node_count = axes_.node_counts[ni];
   p.mac = axes_.macs[mi];
   p.mix = axes_.mixes[xi];
@@ -451,7 +367,6 @@ FleetPoint Fleet::point_at(std::size_t index) const {
   p.batch_window = axes_.batch_windows[wi];
   p.precision = axes_.precisions[pi];
   p.fault = axes_.faults[fi];
-  p.split = axes_.splits[li];
   p.sir = axes_.sir_levels[ii];
   p.motion = axes_.motion[oi];
   p.seed = SweepRunner::point_seed(axes_.seeds[si], p.index);
@@ -476,10 +391,10 @@ std::vector<FleetPointResult> Fleet::run(const SweepRunner& runner) const {
 namespace {
 
 std::array<std::size_t, kAxisCount> axis_sizes_of(const FleetAxes& axes) {
-  return {axes.node_counts.size(), axes.macs.size(),          axes.mixes.size(),
-          axes.harvests.size(),    axes.buses.size(),         axes.batch_windows.size(),
-          axes.precisions.size(),  axes.seeds.size(),         axes.faults.size(),
-          axes.splits.size(),      axes.sir_levels.size(),    axes.motion.size()};
+  return {axes.node_counts.size(), axes.macs.size(),       axes.mixes.size(),
+          axes.harvests.size(),    axes.buses.size(),      axes.batch_windows.size(),
+          axes.precisions.size(),  axes.seeds.size(),      axes.faults.size(),
+          axes.sir_levels.size(),  axes.motion.size()};
 }
 
 std::string axis_value_label(const FleetAxes& axes, std::size_t a, std::size_t v) {
@@ -495,7 +410,6 @@ std::string axis_value_label(const FleetAxes& axes, std::size_t a, std::size_t v
     case kAxisPrecision: return nn::to_string(axes.precisions[v]);
     case kAxisSeed: return "seed=" + std::to_string(axes.seeds[v]);
     case kAxisFault: return to_string(axes.faults[v]);
-    case kAxisSplit: return axes.splits[v].label;
     case kAxisSir: return axes.sir_levels[v].label;
     case kAxisMotion: return axes.motion[v].label;
     default: return "?";

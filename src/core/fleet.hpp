@@ -18,14 +18,14 @@
 /// nested loops with `node_counts` outermost and `seeds` innermost —
 ///   for n in node_counts / for m in macs / for x in mixes /
 ///   for h in harvests / for b in buses / for w in batch_windows /
-///   for p in precisions / for f in faults / for l in splits /
-///   for i in sir_levels / for o in motion / for s in seeds
+///   for p in precisions / for f in faults / for i in sir_levels /
+///   for o in motion / for s in seeds
 /// and `FleetPoint::seed = SweepRunner::point_seed(s, flat_index)`, so
 /// sibling points never share an RNG stream even when the seed axis holds a
-/// single value. (The fault, split, SIR and motion axes nest outside seeds
-/// but serialize as `coord[kAxisFault]` / `coord[kAxisSplit]` /
-/// `coord[kAxisSir]` / `coord[kAxisMotion]` — appended after the seed
-/// coordinate; see the FleetAxis comment for the byte-compat reasoning.)
+/// single value. (The fault, SIR and motion axes nest outside seeds but
+/// serialize as `coord[kAxisFault]` / `coord[kAxisSir]` /
+/// `coord[kAxisMotion]` — appended after the seed coordinate; see the
+/// FleetAxis comment for the byte-compat reasoning.)
 ///
 /// A `FleetPoint` is self-contained: `run_fleet_point(point)` is a pure
 /// function that builds its own link (owned by the `NetworkSim` — no shared
@@ -114,27 +114,6 @@ enum class FaultVariant { kNone, kBrownout, kHubFlap, kBurstLoss, kCombined };
 /// intensity-invariant. `kNone` returns an empty plan at any intensity.
 [[nodiscard]] sim::FaultPlan make_fault_plan(FaultVariant variant, double intensity = 1.0);
 
-/// One value on the fleet's split-execution axis: how session-bearing node
-/// classes split their model between leaf and hub (docs/architecture.md).
-/// Only classes whose session carries an executable `net` participate —
-/// model-less telemetry classes are untouched. The disabled default keeps
-/// every grid byte-identical to pre-split output.
-struct SplitVariant {
-  std::string label = "off";
-  bool enabled = false;
-  /// Fixed split: the leaf runs `round(leaf_fraction * layer_count)` layers
-  /// (clamped to [0, n]) and ships the boundary activation.
-  double leaf_fraction = 0.0;
-  /// Adaptive re-partitioning: candidates come from the analytic
-  /// `partition::CostModel` (leaf silicon below, the point's bus link, the
-  /// class's inference rate) and an `AdaptiveSplitController` walks them
-  /// along the battery glide path — deterministic, so grids stay
-  /// byte-identical across thread counts.
-  bool adaptive = false;
-  double mission_time_s = 30.0 * 86400.0;  ///< adaptive glide-path target
-  double leaf_energy_per_mac_j = 20e-12;   ///< leaf silicon (CostModel default)
-};
-
 /// One value on the fleet's interference axis: the co-channel aggressor
 /// regime (`phy::InterferenceField`) every node of a point shares. The
 /// default "clean" level (no aggressors) installs nothing and keeps every
@@ -176,10 +155,6 @@ struct FleetAxes {
   /// pre-fault runs (the CSV only ever mentions faults for points/nodes
   /// that actually saw fault activity).
   std::vector<FaultVariant> faults{FaultVariant::kNone};
-  /// Split-execution axis: leaf/hub model partitioning per point. The
-  /// `{off}` default keeps grids byte-identical to pre-split runs (the CSV
-  /// only mentions splits for points/nodes that actually ran one).
-  std::vector<SplitVariant> splits{{}};
   /// Interference axis (`phy::SirLevel` per point): co-channel aggressor
   /// population shared by every node. The `{clean}` default keeps grids
   /// byte-identical (the CSV only mentions SIR for stressed points).
@@ -195,13 +170,12 @@ struct FleetAxes {
   [[nodiscard]] std::size_t size() const;
 };
 
-/// Index of each axis inside `FleetPoint::coord`. `kAxisFault`,
-/// `kAxisSplit`, `kAxisSir` and `kAxisMotion` are appended *after*
-/// `kAxisSeed` even though the expansion loop nests them outside seeds: the
-/// canonical CSV serializes coords 0..kAxisSeed as the fixed prefix it
-/// always had, so default grids stay byte-identical to older output (the
-/// fault/split/SIR/motion coordinates only appear as `:f<i>` / `:s<i>` /
-/// `:i<i>` / `:m<i>` suffixes when non-zero).
+/// Index of each axis inside `FleetPoint::coord`. `kAxisFault`, `kAxisSir`
+/// and `kAxisMotion` are appended *after* `kAxisSeed` even though the
+/// expansion loop nests them outside seeds: the canonical CSV serializes
+/// coords 0..kAxisSeed as the fixed prefix it always had, so default grids
+/// stay byte-identical to older output (the fault/SIR/motion coordinates
+/// only appear as `:f<i>` / `:i<i>` / `:m<i>` suffixes when non-zero).
 enum FleetAxis : std::size_t {
   kAxisNodeCount = 0,
   kAxisMac,
@@ -212,7 +186,6 @@ enum FleetAxis : std::size_t {
   kAxisPrecision,
   kAxisSeed,
   kAxisFault,
-  kAxisSplit,
   kAxisSir,
   kAxisMotion,
   kAxisCount,
@@ -233,7 +206,6 @@ struct FleetPoint {
   unsigned batch_window = 0;  ///< HubConfig::batch_window for this point
   nn::Precision precision = nn::Precision::kF32;  ///< session execution precision
   FaultVariant fault = FaultVariant::kNone;  ///< fault regime (make_fault_plan)
-  SplitVariant split{};     ///< leaf/hub split-execution recipe
   SirLevelVariant sir{};    ///< co-channel interference regime
   MotionVariant motion{};   ///< wearer body-motion chain
   std::uint64_t seed = 0;   ///< SweepRunner::point_seed(seed_axis_value, index)

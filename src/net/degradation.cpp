@@ -2,9 +2,22 @@
 
 #include <algorithm>
 
-#include "common/expect.hpp"
-
 namespace iob::net {
+
+namespace {
+
+// Step-down triggers: any metric exceeding its limit is channel stress.
+constexpr double kMaxLoss = 0.10;
+constexpr double kMaxRetryRate = 0.50;
+constexpr std::size_t kMaxQueueDepth = 64;
+// Step-up hysteresis: recovery requires every metric under limit/kHysteresis
+// (the sticky band; the same x1.15 as AdaptiveSplitController).
+constexpr double kHysteresis = 1.15;
+// Minimum dwell on a rung before the next transition (either direction), so
+// one settle period of noise cannot double-step.
+constexpr double kMinDwellS = 0.5;
+
+}  // namespace
 
 std::vector<DegradationStep> default_degradation_ladder() {
   return {
@@ -16,24 +29,7 @@ std::vector<DegradationStep> default_degradation_ladder() {
   };
 }
 
-DegradationController::DegradationController(DegradationConfig config)
-    : config_(std::move(config)) {
-  if (config_.ladder.empty()) config_.ladder = default_degradation_ladder();
-  const DegradationStep& base = config_.ladder.front();
-  IOB_EXPECTS(base.bitrate_scale == 1.0 && base.shed_modulus == 1 && !base.int8_wire &&
-                  !base.hub_only_split,
-              "ladder rung 0 must be the identity (armed-but-idle == off)");
-  for (const auto& step : config_.ladder) {
-    IOB_EXPECTS(step.bitrate_scale > 0.0 && step.bitrate_scale <= 1.0,
-                "bitrate scale must be in (0, 1]");
-    IOB_EXPECTS(step.shed_modulus >= 1, "shed modulus must be at least 1");
-  }
-  IOB_EXPECTS(config_.max_loss > 0.0 && config_.max_loss < 1.0,
-              "loss threshold must be a fraction in (0, 1)");
-  IOB_EXPECTS(config_.max_retry_rate > 0.0, "retry-rate threshold must be positive");
-  IOB_EXPECTS(config_.hysteresis >= 1.0, "hysteresis must be >= 1");
-  IOB_EXPECTS(config_.min_dwell_s >= 0.0, "min dwell must be non-negative");
-}
+DegradationController::DegradationController() : ladder_(default_degradation_ladder()) {}
 
 double DegradationController::time_degraded_s(double now) const {
   return degraded_accum_s_ + (current_ > 0 ? std::max(0.0, now - last_update_t_) : 0.0);
@@ -44,22 +40,20 @@ std::size_t DegradationController::update(const ChannelHealth& health, double no
   if (current_ > 0 && now > last_update_t_) degraded_accum_s_ += now - last_update_t_;
   last_update_t_ = now;
 
-  const bool stressed = health.loss > config_.max_loss ||
-                        health.retry_rate > config_.max_retry_rate ||
-                        health.queue_depth > config_.max_queue_depth;
+  const bool stressed = health.loss > kMaxLoss || health.retry_rate > kMaxRetryRate ||
+                        health.queue_depth > kMaxQueueDepth;
   // Recovery needs every metric comfortably inside the limit — the
   // limit/hysteresis band in between is sticky by construction, which is
   // what makes a boundary-riding channel hold its rung instead of
   // oscillating.
   const bool healthy =
-      health.loss <= config_.max_loss / config_.hysteresis &&
-      health.retry_rate <= config_.max_retry_rate / config_.hysteresis &&
+      health.loss <= kMaxLoss / kHysteresis && health.retry_rate <= kMaxRetryRate / kHysteresis &&
       static_cast<double>(health.queue_depth) <=
-          static_cast<double>(config_.max_queue_depth) / config_.hysteresis;
+          static_cast<double>(kMaxQueueDepth) / kHysteresis;
 
-  if (ever_transitioned_ && now - last_transition_t_ < config_.min_dwell_s) return current_;
+  if (ever_transitioned_ && now - last_transition_t_ < kMinDwellS) return current_;
 
-  if (stressed && current_ + 1 < config_.ladder.size()) {
+  if (stressed && current_ + 1 < ladder_.size()) {
     ++current_;
     ++transitions_;
     max_step_ = std::max(max_step_, current_);

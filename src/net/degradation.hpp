@@ -13,8 +13,8 @@
 /// threshold cannot make the node oscillate (the same x1.15 discipline as
 /// `partition::AdaptiveSplitController`, applied to each health threshold:
 /// stepping down requires a metric *over* its limit; stepping back up
-/// requires every metric under limit/hysteresis). The ladder's rung 0 must
-/// be the identity, which is what makes an armed-but-idle controller
+/// requires every metric under limit/hysteresis). The ladder's rung 0 is
+/// the identity, which is what makes an armed-but-idle controller
 /// bit-identical to no controller at all.
 
 #include <cstddef>
@@ -25,7 +25,7 @@
 namespace iob::net {
 
 /// One rung of the ladder: what the node gives up while standing on it.
-/// Rung 0 must be the identity (scale 1, modulus 1, no overrides).
+/// Rung 0 is the identity (scale 1, modulus 1, no overrides).
 struct DegradationStep {
   std::string label = "normal";
   /// Codec bitrate scale in (0, 1]: frame payloads shrink to
@@ -46,7 +46,7 @@ struct DegradationStep {
   bool hub_only_split = false;
 };
 
-/// The canonical 5-rung ladder the tentpole describes.
+/// The 5-rung ladder every armed controller walks.
 [[nodiscard]] std::vector<DegradationStep> default_degradation_ladder();
 
 /// Channel-health observables, as sampled at the node's settle cadence.
@@ -56,33 +56,20 @@ struct ChannelHealth {
   std::size_t queue_depth = 0;
 };
 
-struct DegradationConfig {
-  /// The ladder; empty selects `default_degradation_ladder()`.
-  std::vector<DegradationStep> ladder{};
-  /// Step-down triggers: any metric exceeding its limit is channel stress.
-  double max_loss = 0.10;
-  double max_retry_rate = 0.50;
-  std::size_t max_queue_depth = 64;
-  /// Step-up hysteresis: recovery requires every metric under
-  /// limit/hysteresis (the sticky band — same x1.15 as AdaptiveSplit).
-  double hysteresis = 1.15;
-  /// Minimum dwell on a rung before the next transition (either
-  /// direction), so one settle period of noise cannot double-step.
-  double min_dwell_s = 0.5;
-};
-
+/// Walks `default_degradation_ladder()` against fixed thresholds (loss
+/// 0.10, retry rate 0.50, queue depth 64, hysteresis x1.15, 0.5 s minimum
+/// dwell; degradation.cpp, docs/robustness.md).
 class DegradationController {
  public:
-  explicit DegradationController(DegradationConfig config);
+  DegradationController();
 
   /// Evaluate the health sample at sim time `now` (non-decreasing across
   /// calls) and return the rung index to stand on. Deterministic: depends
   /// only on the sample sequence.
   std::size_t update(const ChannelHealth& health, double now);
 
-  [[nodiscard]] const DegradationStep& current() const { return config_.ladder[current_]; }
+  [[nodiscard]] const DegradationStep& current() const { return ladder_[current_]; }
   [[nodiscard]] std::size_t current_index() const { return current_; }
-  [[nodiscard]] const DegradationConfig& config() const { return config_; }
 
   // --- Telemetry (SessionStats / NodeReport) ---
 
@@ -97,7 +84,7 @@ class DegradationController {
   [[nodiscard]] double last_recovery_s() const { return last_recovery_t_; }
 
  private:
-  DegradationConfig config_;
+  std::vector<DegradationStep> ladder_;
   std::size_t current_ = 0;
   std::uint64_t transitions_ = 0;
   std::size_t max_step_ = 0;

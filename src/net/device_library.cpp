@@ -18,20 +18,18 @@ const std::vector<DeviceSpec>& device_survey() {
   using namespace iob::units;
   static const std::vector<DeviceSpec> table = {
       // ---- Pre-2024 wearables (Fig. 2 left) --------------------------------
-      {"smart ring", DeviceEra::kPre2024, 20.0, 3.7, 0.40 * mW, 40.0 * kbps, "all-week"},
-      {"fitness tracker", DeviceEra::kPre2024, 125.0, 3.7, 2.6 * mW, 40.0 * kbps, "all-week"},
-      {"earbuds", DeviceEra::kPre2024, 50.0, 3.7, 14.0 * mW, 256.0 * kbps, "all-day"},
-      {"smartwatch", DeviceEra::kPre2024, 300.0, 3.85, 60.0 * mW, 300.0 * kbps, "all-day"},
-      {"headphone", DeviceEra::kPre2024, 600.0, 3.7, 90.0 * mW, 512.0 * kbps, "all-day"},
-      {"smartphone", DeviceEra::kPre2024, 4000.0, 3.85, 1.8 * W, 10.0 * Mbps, "<10 hr"},
+      {"smart ring", DeviceEra::kPre2024, 20.0, 3.7, 0.40 * mW, "all-week"},
+      {"fitness tracker", DeviceEra::kPre2024, 125.0, 3.7, 2.6 * mW, "all-week"},
+      {"earbuds", DeviceEra::kPre2024, 50.0, 3.7, 14.0 * mW, "all-day"},
+      {"smartwatch", DeviceEra::kPre2024, 300.0, 3.85, 60.0 * mW, "all-day"},
+      {"headphone", DeviceEra::kPre2024, 600.0, 3.7, 90.0 * mW, "all-day"},
+      {"smartphone", DeviceEra::kPre2024, 4000.0, 3.85, 1.8 * W, "<10 hr"},
       // ---- 2024 wearable-AI boom (Fig. 2 right) ----------------------------
-      {"AI pin", DeviceEra::kWearableAi2024, 1000.0, 3.85, 320.0 * mW, 10.0 * Mbps, "all-day"},
-      {"AI pocket assistant", DeviceEra::kWearableAi2024, 1000.0, 3.7, 300.0 * mW,
-       2.0 * Mbps, "all-day"},
-      {"AI necklace", DeviceEra::kWearableAi2024, 100.0, 3.7, 12.0 * mW, 256.0 * kbps, "all-day"},
-      {"smart glasses", DeviceEra::kWearableAi2024, 154.0, 3.7, 140.0 * mW, 10.0 * Mbps, "3-5 hr"},
-      {"mixed reality headset", DeviceEra::kWearableAi2024, 5060.0, 3.85, 5.5 * W,
-       100.0 * Mbps, "3-5 hr"},
+      {"AI pin", DeviceEra::kWearableAi2024, 1000.0, 3.85, 320.0 * mW, "all-day"},
+      {"AI pocket assistant", DeviceEra::kWearableAi2024, 1000.0, 3.7, 300.0 * mW, "all-day"},
+      {"AI necklace", DeviceEra::kWearableAi2024, 100.0, 3.7, 12.0 * mW, "all-day"},
+      {"smart glasses", DeviceEra::kWearableAi2024, 154.0, 3.7, 140.0 * mW, "3-5 hr"},
+      {"mixed reality headset", DeviceEra::kWearableAi2024, 5060.0, 3.85, 5.5 * W, "3-5 hr"},
   };
   return table;
 }
@@ -62,7 +60,7 @@ SuitePreset motion_heavy_suite() {
     // The controller samples channel health at every settle; a run/occlusion
     // sojourn lasts fractions of a second, so settle well inside it.
     n.settle_period_s = 0.1;
-    n.degradation = DegradationConfig{};
+    n.degradation = true;
     return n;
   };
 

@@ -26,7 +26,6 @@ struct DeviceSpec {
   double battery_mah;
   double battery_v;
   double platform_power_w;     ///< typical active-use average
-  double native_data_rate_bps; ///< sensor/stream rate the device produces
   std::string paper_battery_label;  ///< the bucket Fig. 2 prints for it
 
   [[nodiscard]] double battery_energy_j() const;

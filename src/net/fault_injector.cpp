@@ -4,9 +4,17 @@
 
 namespace iob::net {
 
+namespace {
+
+/// Fork id of the fault processes' RNG streams (distinct from the MAC's
+/// 0x7d0a and the per-node name-hash streams).
+constexpr std::uint64_t kFaultStreamId = 0xFA017;
+
+}  // namespace
+
 FaultInjector::FaultInjector(sim::Simulator& sim, comm::TdmaBus& bus, Hub& hub,
                              sim::FaultPlan plan)
-    : sim_(sim), bus_(bus), hub_(hub), plan_(plan), rng_(sim.rng().fork(plan.stream_id)) {
+    : sim_(sim), bus_(bus), hub_(hub), plan_(plan), rng_(sim.rng().fork(kFaultStreamId)) {
   if (plan_.burst_loss) {
     const auto& b = *plan_.burst_loss;
     IOB_EXPECTS(b.mean_good_s > 0.0 && b.mean_bad_s > 0.0,

@@ -4,7 +4,7 @@
 /// Gilbert–Elliott channel overlay on the bus, drives hub crash/restart
 /// episodes, and arms the brownout lifecycle on attached nodes. All
 /// stochastic draws come from a stream forked off the simulator's root RNG
-/// at `FaultPlan::stream_id`, so fault traces obey the same serial ==
+/// at one fixed stream id, so fault traces obey the same serial ==
 /// parallel determinism contract as everything else (docs/determinism.md).
 
 #include <memory>

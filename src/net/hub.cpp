@@ -14,6 +14,9 @@ namespace iob::net {
 
 namespace {
 
+/// Classification result size uplinked per inference (bytes).
+constexpr std::uint32_t kResultBytes = 16;
+
 double wall_clock_s() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
       .count();
@@ -21,8 +24,8 @@ double wall_clock_s() {
 
 /// Analytic MAC-energy factor for a session's precision. 1.0 for f32 (the
 /// multiply is exact, keeping the pre-precision ledger bit-identical).
-double mac_scale(const HubConfig& hub, const SessionConfig& cfg) {
-  return cfg.precision == nn::Precision::kInt8 ? hub.int8_mac_energy_scale : 1.0;
+double mac_scale(const SessionConfig& cfg) {
+  return cfg.precision == nn::Precision::kInt8 ? Hub::kInt8MacEnergyScale : 1.0;
 }
 
 /// Index into the per-precision metering arrays.
@@ -32,9 +35,7 @@ std::size_t prec_idx(nn::Precision p) { return p == nn::Precision::kInt8 ? 1 : 0
 /// group. The "~" prefix keeps private keys out of any user model
 /// namespace. Split sessions group per boundary — members of one batched
 /// pass must resume at the same layer. Unsplit sessions keep the plain
-/// model tag, byte-identical to the pre-split grouping. The single
-/// definition behind add_session's group bookkeeping and the
-/// adaptive-flush group lookup.
+/// model tag, byte-identical to the pre-split grouping.
 std::string group_key(const SessionConfig& cfg) {
   if (cfg.model.empty()) return "~stream:" + cfg.stream;
   if (cfg.split_layers == 0) return cfg.model;
@@ -76,11 +77,8 @@ float* thread_synth_input(std::int64_t sample_elems, int batch) {
 
 Hub::Hub(sim::Simulator& sim, comm::TdmaBus& bus, HubConfig config)
     : sim_(sim), bus_(bus), config_(config) {
-  IOB_EXPECTS(config_.energy_per_mac_j >= 0, "energy per MAC must be non-negative");
   IOB_EXPECTS(config_.energy_per_weight_byte_j >= 0,
               "energy per weight byte must be non-negative");
-  IOB_EXPECTS(config_.compute_power_w >= 0, "compute power must be non-negative");
-  IOB_EXPECTS(config_.int8_mac_energy_scale >= 0, "int8 mac scale must be non-negative");
   bus_.set_delivery_handler(
       [this](const comm::Frame& f, sim::Time t) { on_frame(f, t); });
   if (config_.batch_window > 0) {
@@ -146,12 +144,6 @@ void Hub::add_session(SessionConfig config) {
   } else if (std::find(it->second.begin(), it->second.end(), slot) == it->second.end()) {
     it->second.push_back(slot);
   }
-  // Group vector indices may have shifted (empty-group compaction above):
-  // rebuild the slot -> group map. add_session is setup, not hot path.
-  group_of_.assign(sessions_.size(), 0);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    for (const std::size_t member : groups_[g].second) group_of_[member] = g;
-  }
 }
 
 void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
@@ -163,8 +155,7 @@ void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
   // per-session state (config, stats, staging) is co-located in the slot.
   const auto idx_it = session_index_.find(frame.stream);
   if (idx_it == session_index_.end()) return;
-  const std::size_t slot = idx_it->second;
-  Session& sess = sessions_[slot];
+  Session& sess = sessions_[idx_it->second];
   const SessionConfig& cfg = sess.cfg;
   SessionStats& st = sess.stats;
   st.bytes_in += frame.payload_bytes;
@@ -172,15 +163,8 @@ void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
   Staged& staged = sess.staged;
   staged.pending_bytes += frame.payload_bytes;
   if (config_.batch_window > 0) {
-    // Batched path: stage until the superframe flush — or, with an
-    // adaptive target, flush the window early the moment this group's
-    // staged batch reaches it (bounding queued latency under bursts).
+    // Batched path: stage until the superframe flush.
     staged.frame_times.push_back(delivered_at);
-    if (config_.max_staged_batch > 0 &&
-        group_staged_inferences(slot) >= config_.max_staged_batch) {
-      superframes_since_flush_ = 0;
-      flush_batches(delivered_at);
-    }
     return;
   }
 
@@ -193,8 +177,7 @@ void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
     // to the historical macs-only charge, and with batch_window == 1 a
     // one-inference flush accumulates the exact same double.
     const double analytic =
-        static_cast<double>(cfg.macs_per_inference) * config_.energy_per_mac_j *
-            mac_scale(config_, cfg) +
+        static_cast<double>(cfg.macs_per_inference) * kEnergyPerMacJ * mac_scale(cfg) +
         static_cast<double>(cfg.weight_bytes) * config_.energy_per_weight_byte_j;
     st.analytic_compute_energy_j += analytic;
     const bool int8 = cfg.precision == nn::Precision::kInt8;
@@ -203,7 +186,7 @@ void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
       st.kernel_time_s += t;
       (int8 ? st.kernel_time_int8_s : st.kernel_time_f32_s) += t;
       ++st.executed_inferences;
-      const double e = t * config_.compute_power_w;
+      const double e = t * kComputePowerW;
       st.compute_energy_j += e;
       (int8 ? st.compute_energy_int8_j : st.compute_energy_f32_j) += e;
     } else {
@@ -211,8 +194,7 @@ void Hub::on_frame(const comm::Frame& frame, sim::Time delivered_at) {
       (int8 ? st.compute_energy_int8_j : st.compute_energy_f32_j) += analytic;
     }
     if (cfg.forward_to_cloud) {
-      st.uplink_energy_j +=
-          static_cast<double>(cfg.result_bytes) * 8.0 * config_.uplink_energy_per_bit_j;
+      st.uplink_energy_j += static_cast<double>(kResultBytes) * 8.0 * kUplinkEnergyPerBitJ;
     }
   }
 }
@@ -303,8 +285,7 @@ void Hub::flush_batches(sim::Time boundary) {
       st.batched_inferences += n;
       ++st.batched_passes;
       const double analytic =
-          static_cast<double>(n * cfg.macs_per_inference) * config_.energy_per_mac_j *
-              mac_scale(config_, cfg) +
+          static_cast<double>(n * cfg.macs_per_inference) * kEnergyPerMacJ * mac_scale(cfg) +
           weight_energy_j * (static_cast<double>(n) / static_cast<double>(total));
       st.analytic_compute_energy_j += analytic;
       const bool int8 = cfg.precision == nn::Precision::kInt8;
@@ -316,14 +297,14 @@ void Hub::flush_batches(sim::Time boundary) {
         st.kernel_time_s += time_share;
         (int8 ? st.kernel_time_int8_s : st.kernel_time_f32_s) += time_share;
         st.executed_inferences += n;
-        charged = time_share * config_.compute_power_w;
+        charged = time_share * kComputePowerW;
       }
       st.compute_energy_j += charged;
       (int8 ? st.compute_energy_int8_j : st.compute_energy_f32_j) += charged;
       st.batched_compute_energy_j += charged;
       if (cfg.forward_to_cloud) {
-        st.uplink_energy_j += static_cast<double>(n) * static_cast<double>(cfg.result_bytes) *
-                              8.0 * config_.uplink_energy_per_bit_j;
+        st.uplink_energy_j += static_cast<double>(n) * static_cast<double>(kResultBytes) *
+                              8.0 * kUplinkEnergyPerBitJ;
       }
     }
   }
@@ -370,15 +351,6 @@ double Hub::downtime_s(sim::Time now) const {
 double Hub::availability(sim::Time now) const {
   if (now <= 0.0) return 1.0;
   return 1.0 - downtime_s(now) / now;
-}
-
-std::uint64_t Hub::group_staged_inferences(std::size_t slot) const {
-  std::uint64_t total = 0;
-  for (const std::size_t member : groups_[group_of_[slot]].second) {
-    const Session& sess = sessions_[member];
-    total += sess.staged.pending_bytes / sess.cfg.bytes_per_inference;
-  }
-  return total;
 }
 
 double Hub::execute_pass(const nn::Model& net, nn::Precision precision, std::uint64_t count,
@@ -501,15 +473,12 @@ void Hub::on_repartition(const std::string& stream, std::size_t split_at) {
   add_session(std::move(cfg));
 }
 
-void Hub::credit_leaf_compute(const std::string& stream, double kernel_time_s,
-                              double compute_energy_j, double analytic_energy_j,
+void Hub::credit_leaf_compute(const std::string& stream, double compute_energy_j,
                               std::uint64_t inferences, std::uint64_t activation_bytes) {
   const auto it = session_index_.find(stream);
   if (it == session_index_.end()) return;
   SessionStats& st = sessions_[it->second].stats;
-  st.leaf_kernel_time_s += kernel_time_s;
   st.leaf_compute_energy_j += compute_energy_j;
-  st.leaf_analytic_compute_energy_j += analytic_energy_j;
   st.leaf_inferences += inferences;
   st.activation_bytes_shipped += activation_bytes;
 }
@@ -534,7 +503,7 @@ double Hub::energy_j() const {
   // Base power accrues only while the hub is up. With zero downtime the
   // subtraction is exact, keeping the clean-path ledger bit-identical.
   double e = bus_.stats().hub_rx_energy_j + bus_.stats().hub_tx_energy_j +
-             config_.base_power_w * (sim_.now() - downtime_s(sim_.now()));
+             kBasePowerW * (sim_.now() - downtime_s(sim_.now()));
   for (const auto& [group, members] : groups_) {
     (void)group;
     for (const std::size_t slot : members) {

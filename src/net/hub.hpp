@@ -36,17 +36,8 @@
 namespace iob::net {
 
 struct HubConfig {
-  double energy_per_mac_j = 5e-12;   ///< hub silicon efficiency
-  double uplink_energy_per_bit_j = 30e-9;  ///< Wi-Fi-class
-  double base_power_w = 50e-3;       ///< SoC idle/display/OS floor
   /// Superframes staged per batched flush; 0 keeps the per-frame path.
   unsigned batch_window = 0;
-  /// Adaptive batch flush: when > 0 (batched path only), a delivery that
-  /// brings any model group's staged inference count to this target flushes
-  /// the whole batch window immediately instead of waiting for the
-  /// superframe boundary — bounding `queued_latency_s` under bursty
-  /// traffic. 0 keeps the fixed-window behavior bit-identical.
-  std::uint64_t max_staged_batch = 0;
   /// int8 weight-streaming cost per byte (DRAM-class), paid once per model
   /// pass. Only sessions with `weight_bytes > 0` are affected.
   double energy_per_weight_byte_j = 50e-12;
@@ -54,22 +45,12 @@ struct HubConfig {
   /// actually run their staged inferences through the allocation-free nn
   /// engine (`nn::Model::run_range_into` on a thread-local workspace), and their
   /// `compute_energy_j` derives from measured kernel wall time x
-  /// `compute_power_w` instead of the analytic MAC/weight-byte counts (the
+  /// `Hub::kComputePowerW` instead of the analytic MAC/weight-byte counts (the
   /// analytic number keeps accruing alongside in
   /// `SessionStats::analytic_compute_energy_j`). Sessions without a model
   /// stay analytic. Off by default: measured wall time is inherently
   /// host-dependent, so deterministic sweeps must keep this disabled.
   bool execute_and_meter = false;
-  /// Active power of the hub's inference engine while a metered kernel
-  /// runs (W). The 250 mW default is a wearable-SoC NPU/DSP class figure.
-  double compute_power_w = 0.25;
-  /// Analytic MAC-energy discount for int8 sessions: an int8 MAC costs
-  /// roughly a quarter of an f32 MAC in silicon (Horowitz, ISSCC'14 class
-  /// numbers), so sessions with `SessionConfig::precision == kInt8` charge
-  /// `macs * energy_per_mac_j * int8_mac_energy_scale`. The weight term is
-  /// untouched — `energy_per_weight_byte_j` already prices int8 bytes.
-  /// f32 sessions never consult this, keeping their ledger bit-identical.
-  double int8_mac_energy_scale = 0.25;
   /// Engine threads for execute-and-meter passes: a flush's metered
   /// sub-batches (`kMeterBatchCap` items each) fan out across a persistent
   /// `sim::TaskPool` owned by the hub, lazily spawned on the first pass
@@ -87,6 +68,23 @@ struct HubConfig {
 
 class Hub {
  public:
+  /// Hub silicon efficiency (J per f32 MAC).
+  static constexpr double kEnergyPerMacJ = 5e-12;
+  /// Analytic MAC-energy discount for int8 sessions: an int8 MAC costs
+  /// roughly a quarter of an f32 MAC in silicon (Horowitz, ISSCC'14 class
+  /// numbers), so sessions with `SessionConfig::precision == kInt8` charge
+  /// `macs * kEnergyPerMacJ * kInt8MacEnergyScale`. The weight term is
+  /// untouched: `HubConfig::energy_per_weight_byte_j` already prices int8
+  /// bytes. f32 sessions never consult this.
+  static constexpr double kInt8MacEnergyScale = 0.25;
+  /// Active power of the hub's inference engine while a metered kernel
+  /// runs (W): a wearable-SoC NPU/DSP class figure.
+  static constexpr double kComputePowerW = 0.25;
+  /// Uplink cost per result bit (Wi-Fi class).
+  static constexpr double kUplinkEnergyPerBitJ = 30e-9;
+  /// SoC idle/display/OS floor (W), accrued while the hub is up.
+  static constexpr double kBasePowerW = 50e-3;
+
   Hub(sim::Simulator& sim, comm::TdmaBus& bus, HubConfig config = {});
 
   Hub(const Hub&) = delete;
@@ -142,8 +140,7 @@ class Hub {
   /// `NetworkSim::run` calls this once per split node after the bus stops,
   /// so a finished run's stats expose both venues side by side. Unknown
   /// streams are ignored (a split node need not have a hub consumer).
-  void credit_leaf_compute(const std::string& stream, double kernel_time_s,
-                           double compute_energy_j, double analytic_energy_j,
+  void credit_leaf_compute(const std::string& stream, double compute_energy_j,
                            std::uint64_t inferences, std::uint64_t activation_bytes);
 
   /// Credit a node's degradation-controller telemetry into its session's
@@ -178,7 +175,7 @@ class Hub {
   /// One registered session, all hot-path state co-located in a single
   /// slot: the frame-delivery path does ONE hash lookup (stream -> slot)
   /// instead of the historical three map probes (config, stats, staging),
-  /// and flush/group walks index a deque instead of re-hashing tags.
+  /// and flush walks index a deque instead of re-hashing tags.
   struct Session {
     SessionConfig cfg;
     SessionStats stats;
@@ -188,10 +185,6 @@ class Hub {
   void on_frame(const comm::Frame& frame, sim::Time delivered_at);
   void on_superframe_end(sim::Time boundary);
   void flush_batches(sim::Time boundary);
-
-  /// Staged inference count of the model group containing session `slot`
-  /// (the adaptive-flush trigger quantity).
-  [[nodiscard]] std::uint64_t group_staged_inferences(std::size_t slot) const;
 
   /// Execute `count` inferences on `net` at `precision` (in sub-batches of
   /// at most kMeterBatchCap), resuming at `first_layer` (0 = whole model; a
@@ -223,11 +216,6 @@ class Hub {
   /// Iterated at flush so energy accumulation order is deterministic and
   /// compiler-independent (never hash-map order).
   std::vector<std::pair<std::string, std::vector<std::size_t>>> groups_;
-  /// Session slot -> index into groups_, maintained by add_session so the
-  /// adaptive-flush check on the frame-delivery hot path is a vector index
-  /// plus a member walk — no string building, no group scan, no
-  /// allocations.
-  std::vector<std::size_t> group_of_;
   unsigned superframes_since_flush_ = 0;
   std::uint64_t batched_passes_ = 0;
   bool up_ = true;

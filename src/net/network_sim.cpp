@@ -11,6 +11,11 @@ namespace iob::net {
 
 namespace {
 
+/// RNG stream the channel dynamics fork off the simulation root (distinct
+/// from the MAC's 0x7d0a and the fault injector's stream), so installing
+/// dynamics never perturbs other draws.
+constexpr std::uint64_t kDynamicsStreamId = 0xC4A0;
+
 std::unique_ptr<const comm::Link> require_link(std::unique_ptr<const comm::Link> link) {
   IOB_EXPECTS(link != nullptr, "owning NetworkSim needs a non-null link");
   return link;
@@ -66,11 +71,11 @@ NetworkReport NetworkSim::run(double duration_s) {
   // Install channel dynamics (interference/motion) before the bus starts so
   // the motion chain's sojourn clock begins at t = 0. A disengaged config
   // installs nothing — the clean path is untouched. The RNG stream forks at
-  // `stream_id` off the root (Rng::fork is const), so arming dynamics never
-  // perturbs MAC, node, or fault draws.
+  // `kDynamicsStreamId` off the root (Rng::fork is const), so arming
+  // dynamics never perturbs MAC, node, or fault draws.
   if (dynamics_cfg_.any()) {
     dynamics_ = std::make_unique<comm::ChannelDynamics>(
-        link_, dynamics_cfg_, sim_.rng().fork(dynamics_cfg_.stream_id));
+        link_, dynamics_cfg_, sim_.rng().fork(kDynamicsStreamId));
     bus_.set_channel_dynamics(dynamics_.get());
   }
 
@@ -92,8 +97,7 @@ NetworkReport NetworkSim::run(double duration_s) {
   for (auto& n : nodes_) {
     if (!n->config().split) continue;
     const LeafSplitStats& ls = n->split_stats();
-    hub_->credit_leaf_compute(n->config().stream, ls.kernel_time_s, ls.compute_energy_j,
-                              ls.analytic_compute_energy_j, ls.inferences,
+    hub_->credit_leaf_compute(n->config().stream, ls.compute_energy_j, ls.inferences,
                               ls.activation_bytes);
   }
 

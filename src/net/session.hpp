@@ -30,8 +30,7 @@ struct SessionConfig {
   std::string stream;                 ///< stream tag this session consumes
   std::uint64_t macs_per_inference = 0;
   std::uint64_t bytes_per_inference = 1;  ///< window size triggering a pass
-  bool forward_to_cloud = false;      ///< uplink results (adds hub TX energy)
-  std::uint32_t result_bytes = 16;    ///< classification result size
+  bool forward_to_cloud = false;      ///< uplink 16 B results (adds hub TX energy)
   /// Model identity: sessions sharing a non-empty tag fold into one batched
   /// pass per flush (they run the same network). Empty = private model.
   std::string model;
@@ -49,7 +48,7 @@ struct SessionConfig {
   /// Execution precision of this session's inferences — the same
   /// `nn::Precision` the partitioner's transport flag derives from. With
   /// `kInt8` the analytic ledger discounts MAC energy by
-  /// `HubConfig::int8_mac_energy_scale` (the weight-streaming term is
+  /// `Hub::kInt8MacEnergyScale` (the weight-streaming term is
   /// already int8-priced), and execute-and-meter runs the staged
   /// inferences through the hub's `nn::QuantizedModel` lowering of `net`
   /// instead of the f32 engine — the meter finally measures the precision
@@ -125,14 +124,9 @@ struct SessionStats {
   /// Leaf-venue prefix executions credited to this session by the simulator
   /// after the run (the other half of the split inference).
   std::uint64_t leaf_inferences = 0;
-  /// Measured leaf prefix kernel time (execute-and-meter leaves only).
-  double leaf_kernel_time_s = 0.0;
-  /// Leaf compute energy actually charged to the node battery for the
-  /// prefix (metered when the leaf meters, else the analytic ledger).
+  /// Leaf compute energy charged to the node battery for the prefix
+  /// (prefix MACs x `LeafSplit::energy_per_mac_j`).
   double leaf_compute_energy_j = 0.0;
-  /// What the analytic prefix ledger (MACs x energy/MAC) charges; equals
-  /// `leaf_compute_energy_j` on the analytic path.
-  double leaf_analytic_compute_energy_j = 0.0;
   /// Boundary-activation wire bytes the leaf shipped (serialized tensor
   /// size x inferences — the differential test pins this to
   /// `nn::activation_wire_bytes`).

@@ -8,11 +8,18 @@
 
 namespace iob::partition {
 
+namespace {
+
+/// Step back up only when the richer candidate fits the glide budget by
+/// this factor (no flapping).
+constexpr double kHysteresis = 1.15;
+
+}  // namespace
+
 AdaptiveSplitController::AdaptiveSplitController(AdaptiveSplitConfig config)
     : config_(std::move(config)) {
   IOB_EXPECTS(!config_.candidates.empty(), "controller needs at least one split candidate");
   IOB_EXPECTS(config_.mission_time_s > 0, "mission time must be positive");
-  IOB_EXPECTS(config_.hysteresis >= 1.0, "hysteresis factor must be >= 1");
   double prev = std::numeric_limits<double>::infinity();
   for (const SplitCandidate& c : config_.candidates) {
     IOB_EXPECTS(c.leaf_power_w >= 0, "candidate leaf power must be non-negative");
@@ -40,7 +47,7 @@ std::size_t AdaptiveSplitController::update(const energy::Battery& battery, doub
   }
   // Step back up only when the richer split fits with hysteresis margin.
   while (current_ > 0 &&
-         config_.candidates[current_ - 1].leaf_power_w * config_.hysteresis < budget) {
+         config_.candidates[current_ - 1].leaf_power_w * kHysteresis < budget) {
     --current_;
   }
   return current_;

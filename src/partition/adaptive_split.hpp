@@ -32,9 +32,6 @@ struct AdaptiveSplitConfig {
   /// leaf load. `candidates_from` builds this list from a `Partitioner`.
   std::vector<SplitCandidate> candidates;
   double mission_time_s = 30.0 * 86400.0;  ///< required node lifetime
-  /// Hysteresis margin: step down when the glide path is missed, back up
-  /// only when the richer candidate fits by this factor (no flapping).
-  double hysteresis = 1.15;
 };
 
 class AdaptiveSplitController {
@@ -42,8 +39,9 @@ class AdaptiveSplitController {
   explicit AdaptiveSplitController(AdaptiveSplitConfig config);
 
   /// Decide the split for the moment: `elapsed_s` into the mission with the
-  /// battery at `battery`. Returns the selected candidate index (sticky —
-  /// only moves when the hysteresis band is crossed).
+  /// battery at `battery`. Returns the selected candidate index (sticky:
+  /// it steps down when the glide path is missed and back up only when the
+  /// richer candidate fits with a x1.15 margin, so it never flaps).
   std::size_t update(const energy::Battery& battery, double elapsed_s);
 
   [[nodiscard]] const SplitCandidate& current() const {

@@ -18,7 +18,6 @@ struct RfChannelParams {
   double path_loss_exponent = 2.0;      ///< free-space/off-body exponent
   double on_body_exponent = 3.3;        ///< around-body creeping-wave exponent
   double body_shadow_db = 15.0;         ///< mean trunk shadowing for on-body links
-  double shadow_sigma_db = 4.0;         ///< log-normal shadowing spread
 };
 
 class RfChannel {

@@ -57,15 +57,12 @@ struct BurstLossPlan {
 };
 
 /// The full fault schedule of one simulation. Each process is optional and
-/// independently enabled; all of them draw from streams forked off
-/// `stream_id`, so enabling one process never perturbs another's trace.
+/// independently enabled; all of them draw from sub-streams of one fault
+/// stream, so enabling one process never perturbs another's trace.
 struct FaultPlan {
   std::optional<BrownoutPlan> brownout{};
   std::optional<HubFlapPlan> hub_flap{};
   std::optional<BurstLossPlan> burst_loss{};
-  /// Fork id of the fault processes' RNG streams (distinct from the MAC's
-  /// 0x7d0a and the per-node name-hash streams).
-  std::uint64_t stream_id = 0xFA017;
 
   [[nodiscard]] bool any() const {
     return brownout.has_value() || hub_flap.has_value() || burst_loss.has_value();

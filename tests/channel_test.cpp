@@ -192,22 +192,14 @@ TEST(Degradation, LadderValidatesRungZeroIdentity) {
   EXPECT_EQ(ladder[0].shed_modulus, 1u);
   EXPECT_FALSE(ladder[0].int8_wire);
   EXPECT_FALSE(ladder[0].hub_only_split);
-
-  net::DegradationConfig bad;
-  bad.ladder = ladder;
-  bad.ladder[0].bitrate_scale = 0.5;  // rung 0 must be the identity
-  EXPECT_THROW(net::DegradationController{bad}, std::invalid_argument);
 }
 
-// A channel riding the threshold band — alternating just under the limit
-// and just under it divided by nothing — must never re-arm an up-step:
-// stepping up demands every metric below limit/hysteresis.
+// A channel riding the threshold band — alternating just under the 0.10
+// loss limit and just above 0.10/1.15 — must never re-arm an up-step:
+// stepping up demands every metric below limit/hysteresis. The ride lasts
+// 10 s, so after the first 0.5 s dwell the hysteresis alone holds the rung.
 TEST(Degradation, HysteresisBandNeverOscillates) {
-  net::DegradationConfig cfg;
-  cfg.max_loss = 0.10;
-  cfg.hysteresis = 1.15;
-  cfg.min_dwell_s = 0.0;  // isolate the hysteresis discipline from dwell
-  net::DegradationController ctrl(cfg);
+  net::DegradationController ctrl;
 
   double t = 0.0;
   EXPECT_EQ(ctrl.update({/*loss=*/0.12, 0.0, 0}, t), 1u);  // stressed: step down
@@ -225,10 +217,9 @@ TEST(Degradation, HysteresisBandNeverOscillates) {
   EXPECT_DOUBLE_EQ(ctrl.last_recovery_s(), t);
 }
 
+// The production dwell is 0.5 s.
 TEST(Degradation, MinDwellGatesBackToBackTransitions) {
-  net::DegradationConfig cfg;
-  cfg.min_dwell_s = 0.5;
-  net::DegradationController ctrl(cfg);
+  net::DegradationController ctrl;
   EXPECT_EQ(ctrl.update({0.5, 0.0, 0}, 0.0), 1u);   // first transition is free
   EXPECT_EQ(ctrl.update({0.5, 0.0, 0}, 0.1), 1u);   // inside the dwell window
   EXPECT_EQ(ctrl.update({0.5, 0.0, 0}, 0.49), 1u);
@@ -237,13 +228,12 @@ TEST(Degradation, MinDwellGatesBackToBackTransitions) {
 }
 
 TEST(Degradation, FullDescentThenRecoveryTelemetry) {
-  net::DegradationConfig cfg;
-  cfg.min_dwell_s = 0.1;
-  net::DegradationController ctrl(cfg);
+  net::DegradationController ctrl;
   const std::size_t bottom = net::default_degradation_ladder().size() - 1;
+  // Samples 0.6 s apart: every one clears the 0.5 s dwell.
   double t = 0.0;
   for (std::size_t i = 0; i < bottom + 3; ++i) {  // +3: saturates at the bottom
-    t += 0.2;
+    t += 0.6;
     ctrl.update({0.9, 0.9, 1000}, t);
   }
   EXPECT_EQ(ctrl.current_index(), bottom);
@@ -253,7 +243,7 @@ TEST(Degradation, FullDescentThenRecoveryTelemetry) {
   EXPECT_GT(degraded_so_far, 0.0);
   double recovered_at = 0.0;
   while (ctrl.current_index() > 0) {
-    t += 0.2;
+    t += 0.6;
     ctrl.update({0.0, 0.0, 0}, t);
     recovered_at = t;
   }
@@ -305,7 +295,7 @@ TEST(Degradation, ArmedIdleControllerIsBitIdenticalOnCleanChannel) {
       leaf.stream = leaf.name;
       leaf.output_rate_bps = 64e3;
       leaf.phase_s = 1e-3 * i;
-      if (controller) leaf.degradation = net::DegradationConfig{};
+      leaf.degradation = controller;
       sim.add_node(leaf);
     }
     return sim.run(3.0);
@@ -336,7 +326,7 @@ TEST(Degradation, StressedControllerCreditsSessionTelemetry) {
   leaf.stream = leaf.name;
   leaf.output_rate_bps = 150e3;
   leaf.settle_period_s = 0.1;
-  leaf.degradation = net::DegradationConfig{};
+  leaf.degradation = true;
   sim.add_node(leaf);
   net::SessionConfig session;
   session.stream = "audio";
@@ -401,7 +391,7 @@ core::FleetAxes stressed_axes() {
   audio.sense_power_w = 150e-6;
   audio.output_rate_bps = 64e3;
   audio.settle_period_s = 0.1;
-  audio.degradation = net::DegradationConfig{};
+  audio.degradation = true;
   axes.mixes = {{"audio", {{audio, 1, std::nullopt}}}};
   axes.sir_levels = {{}, {"gym", {2, 1.0, -5.3, 20.0}}};
   axes.motion = {{}, {"two-state", true, two_state_chain()}};
@@ -462,7 +452,7 @@ TEST(DeviceLibrary, MotionHeavySuiteShipsArmedOnARunningWearer) {
   EXPECT_EQ(suite.nodes[1].name, "patch");
   EXPECT_EQ(suite.nodes[2].name, "earbud");
   for (const auto& n : suite.nodes) {
-    EXPECT_TRUE(n.degradation.has_value()) << n.name;
+    EXPECT_TRUE(n.degradation) << n.name;
     EXPECT_LE(n.settle_period_s, 0.5) << n.name;
   }
   EXPECT_EQ(suite.motion.initial, phy::MotionState::kRun);

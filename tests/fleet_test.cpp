@@ -292,7 +292,7 @@ core::FleetAxes golden_axes() {
   audio.base.output_rate_bps = 64e3;
   audio.base.slot_weight = 2;
   audio.base.settle_period_s = 0.05;
-  audio.base.degradation = net::DegradationConfig{};
+  audio.base.degradation = true;
   net::SessionConfig kws;
   kws.macs_per_inference = 2'500'000;
   kws.bytes_per_inference = 2'000;

@@ -108,7 +108,7 @@ TEST(HubBatching, LegacyDefaultsBitIdenticalToSeedEnergyModel) {
   ASSERT_GT(st.inferences, 20u);
   double expected = 0.0;
   for (std::uint64_t i = 0; i < st.inferences; ++i) {
-    expected += static_cast<double>(s.macs_per_inference) * net.hub().config().energy_per_mac_j;
+    expected += static_cast<double>(s.macs_per_inference) * net::Hub::kEnergyPerMacJ;
   }
   EXPECT_EQ(st.compute_energy_j, expected);
 }
@@ -161,7 +161,7 @@ TEST(HubBatching, TwoSessionBatchSplitsWeightEnergyByShare) {
   EXPECT_EQ(sta.batched_passes, 1u);
   EXPECT_EQ(stb.batched_passes, 1u);
 
-  const double e_mac = hc.energy_per_mac_j;
+  const double e_mac = net::Hub::kEnergyPerMacJ;
   const double weight_j = 20'000.0 * hc.energy_per_weight_byte_j;
   EXPECT_DOUBLE_EQ(sta.compute_energy_j, 1'000'000.0 * e_mac + weight_j / 2.0);
   EXPECT_DOUBLE_EQ(stb.compute_energy_j, 3'000'000.0 * e_mac + weight_j / 2.0);
@@ -270,7 +270,7 @@ TEST(HubBatching, ReRegisteringASessionMovesItBetweenModelGroups) {
   EXPECT_EQ(hub.batched_passes(), 1u);
   const double weight_j = 20'000.0 * hc.energy_per_weight_byte_j;
   EXPECT_DOUBLE_EQ(hub.session("a").compute_energy_j,
-                   1'000'000.0 * hc.energy_per_mac_j + weight_j / 2.0);
+                   1'000'000.0 * net::Hub::kEnergyPerMacJ + weight_j / 2.0);
 }
 
 // ---- analytic curve ---------------------------------------------------------
@@ -387,78 +387,6 @@ TEST(HubBatching, FleetGridByteIdenticalAt1_2_8ThreadsWithBatchingEnabled) {
     EXPECT_EQ(reference, core::fleet_results_csv(fleet.run(runner)))
         << "thread count " << threads;
   }
-}
-
-// ---- adaptive batch flush (HubConfig::max_staged_batch) ---------------------
-
-net::NetworkReport run_bursty(unsigned batch_window, std::uint64_t max_staged,
-                              net::SessionStats& out_stats, std::uint64_t& out_passes) {
-  comm::WiRLink wir;
-  net::NetworkConfig cfg;
-  cfg.seed = 13;
-  cfg.hub.batch_window = batch_window;
-  cfg.hub.max_staged_batch = max_staged;
-  net::NetworkSim net(wir, cfg);
-  // A fast stream: one inference per delivered frame, many frames per
-  // batch window, so a fixed window stages deep batches.
-  net::NodeConfig n = ecg_node();
-  n.output_rate_bps = 120e3;
-  net.add_node(n);
-  net.add_session(kws_session("ecg"));
-  const net::NetworkReport report = net.run(10.0);
-  out_stats = net.hub().session("ecg");
-  out_passes = net.hub().batched_passes();
-  return report;
-}
-
-TEST(AdaptiveFlush, UnreachableTargetKeepsFixedWindowBitIdentical) {
-  // The adaptive check fires only AT the target, so a target the staged
-  // batch can never reach must leave the fixed-window run (target = 0)
-  // bit-identical — the feature-off-equivalence claim.
-  net::SessionStats fixed, unreachable;
-  std::uint64_t fixed_passes = 0, unreachable_passes = 0;
-  run_bursty(64, 0, fixed, fixed_passes);
-  run_bursty(64, 1'000'000, unreachable, unreachable_passes);
-  ASSERT_GT(fixed.inferences, 50u);
-  EXPECT_EQ(fixed_passes, unreachable_passes);
-  EXPECT_EQ(fixed.compute_energy_j, unreachable.compute_energy_j);
-  EXPECT_EQ(fixed.queued_latency_s.mean(), unreachable.queued_latency_s.mean());
-  EXPECT_EQ(fixed.queued_latency_s.max(), unreachable.queued_latency_s.max());
-}
-
-TEST(AdaptiveFlush, TargetBoundsQueuedLatencyUnderBurstyTraffic) {
-  net::SessionStats fixed, adaptive;
-  std::uint64_t fixed_passes = 0, adaptive_passes = 0;
-  run_bursty(64, 0, fixed, fixed_passes);
-  run_bursty(64, 4, adaptive, adaptive_passes);
-
-  ASSERT_GT(fixed.inferences, 50u);
-  // Same offered work either way; the adaptive target only re-times it.
-  EXPECT_EQ(fixed.bytes_in, adaptive.bytes_in);
-  EXPECT_EQ(fixed.inferences, adaptive.inferences);
-  // Early flushes mean more, shallower passes and strictly less staging
-  // delay than a 64-superframe window.
-  EXPECT_GT(adaptive_passes, fixed_passes);
-  ASSERT_GT(adaptive.queued_latency_s.count(), 0u);
-  EXPECT_LT(adaptive.queued_latency_s.mean(), fixed.queued_latency_s.mean());
-  EXPECT_LT(adaptive.queued_latency_s.max(), fixed.queued_latency_s.max());
-  // Each adaptive pass still amortizes weights across its (smaller) batch.
-  EXPECT_GT(adaptive.compute_energy_j, fixed.compute_energy_j);
-  EXPECT_EQ(adaptive.batched_inferences, adaptive.inferences);
-}
-
-TEST(AdaptiveFlush, TargetOfOneDegeneratesToPerFrameEnergy) {
-  // Flushing after every staged inference pays the full weight stream per
-  // pass — exactly the per-frame ledger, with the staging latency ~0.
-  net::SessionStats per_frame, adaptive;
-  std::uint64_t pf_passes = 0, ad_passes = 0;
-  run_bursty(0, 0, per_frame, pf_passes);
-  run_bursty(64, 1, adaptive, ad_passes);
-  ASSERT_GT(per_frame.inferences, 50u);
-  EXPECT_EQ(per_frame.inferences, adaptive.inferences);
-  EXPECT_EQ(per_frame.compute_energy_j, adaptive.compute_energy_j);
-  ASSERT_GT(adaptive.queued_latency_s.count(), 0u);
-  EXPECT_EQ(adaptive.queued_latency_s.max(), 0.0);
 }
 
 }  // namespace

@@ -221,7 +221,7 @@ TEST(HubParallel, TwoSessionGroupSplitsMeteredTimeByInferenceShare) {
 
   // Single pass: measured energy is exactly time x platform power, and the
   // time split follows the inference share bit-for-bit.
-  const double power = net.hub().config().compute_power_w;
+  const double power = net::Hub::kComputePowerW;
   EXPECT_EQ(fine.compute_energy_j, fine.kernel_time_s * power);
   EXPECT_EQ(coarse.compute_energy_j, coarse.kernel_time_s * power);
   EXPECT_GT(fine.kernel_time_s, coarse.kernel_time_s);

@@ -517,8 +517,7 @@ TEST(ExecuteAndMeter, DerivesComputeEnergyFromMeasuredKernelTime) {
     EXPECT_EQ(st.executed_inferences, st.inferences) << "window " << window;
     EXPECT_GT(st.kernel_time_s, 0.0) << "window " << window;
     // Energy is exactly measured time x platform power.
-    const net::HubConfig defaults;
-    EXPECT_DOUBLE_EQ(st.compute_energy_j, st.kernel_time_s * defaults.compute_power_w)
+    EXPECT_DOUBLE_EQ(st.compute_energy_j, st.kernel_time_s * net::Hub::kComputePowerW)
         << "window " << window;
     // The analytic model keeps accruing alongside and differs from the
     // measured number (it never consults the clock).
@@ -584,8 +583,7 @@ TEST(ExecuteAndMeter, MixedModelGroupMetersOnlySessionsWithNets) {
   ASSERT_GT(b.inferences, 10u);
   EXPECT_EQ(a.executed_inferences, a.inferences);
   EXPECT_GT(a.kernel_time_s, 0.0);
-  const net::HubConfig defaults;
-  EXPECT_DOUBLE_EQ(a.compute_energy_j, a.kernel_time_s * defaults.compute_power_w);
+  EXPECT_DOUBLE_EQ(a.compute_energy_j, a.kernel_time_s * net::Hub::kComputePowerW);
   EXPECT_EQ(b.executed_inferences, 0u);
   EXPECT_EQ(b.kernel_time_s, 0.0);
   EXPECT_EQ(b.compute_energy_j, b.analytic_compute_energy_j);

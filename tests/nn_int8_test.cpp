@@ -687,12 +687,12 @@ TEST(PrecisionSessions, Int8AnalyticEnergyAppliesMacScale) {
   ASSERT_EQ(f32.inferences, int8.inferences);
   const net::HubConfig defaults;
   // Hand-computed per-inference charges.
-  const double mac_j = 185'000.0 * defaults.energy_per_mac_j;
+  const double mac_j = 185'000.0 * net::Hub::kEnergyPerMacJ;
   const double weight_j = 9'000.0 * defaults.energy_per_weight_byte_j;
   const double n = static_cast<double>(f32.inferences);
   EXPECT_NEAR(f32.compute_energy_j, n * (mac_j + weight_j), n * 1e-18);
   EXPECT_NEAR(int8.compute_energy_j,
-              n * (mac_j * defaults.int8_mac_energy_scale + weight_j), n * 1e-18);
+              n * (mac_j * net::Hub::kInt8MacEnergyScale + weight_j), n * 1e-18);
   EXPECT_LT(int8.compute_energy_j, f32.compute_energy_j);
   // The split buckets track the session's precision on the analytic path.
   EXPECT_EQ(f32.compute_energy_f32_j, f32.compute_energy_j);
@@ -707,7 +707,7 @@ TEST(PrecisionSessions, F32LedgerBitIdenticalToPrePrecisionDefaults) {
   // the pre-precision hub charged (x1.0 is exact).
   const net::SessionStats st = run_precision_session(nn::Precision::kF32, false, nullptr);
   const net::HubConfig defaults;
-  const double per_inference = 185'000.0 * defaults.energy_per_mac_j +
+  const double per_inference = 185'000.0 * net::Hub::kEnergyPerMacJ +
                                9'000.0 * defaults.energy_per_weight_byte_j;
   double expect = 0.0;
   for (std::uint64_t i = 0; i < st.inferences; ++i) expect += per_inference;
@@ -725,8 +725,7 @@ TEST(PrecisionSessions, ExecuteAndMeterInt8SplitsKernelTimeByPrecision) {
     EXPECT_GT(st.kernel_time_int8_s, 0.0) << "window " << window;
     EXPECT_EQ(st.kernel_time_f32_s, 0.0) << "window " << window;
     EXPECT_DOUBLE_EQ(st.kernel_time_s, st.kernel_time_int8_s) << "window " << window;
-    const net::HubConfig defaults;
-    EXPECT_DOUBLE_EQ(st.compute_energy_j, st.kernel_time_s * defaults.compute_power_w)
+    EXPECT_DOUBLE_EQ(st.compute_energy_j, st.kernel_time_s * net::Hub::kComputePowerW)
         << "window " << window;
     EXPECT_DOUBLE_EQ(st.compute_energy_int8_j, st.compute_energy_j) << "window " << window;
     EXPECT_EQ(st.compute_energy_f32_j, 0.0) << "window " << window;
@@ -780,7 +779,7 @@ TEST(PrecisionFleet, CsvByteIdenticalAt1_2_8Threads) {
 
 TEST(PrecisionFleet, Int8HubsDrawLessPowerThanF32Hubs) {
   // The precision axis must actually move the ledger: averaged over the
-  // grid, int8 hubs (MAC energy discounted by int8_mac_energy_scale) draw
+  // grid, int8 hubs (MAC energy discounted by Hub::kInt8MacEnergyScale) draw
   // less power than f32 hubs. Means absorb the per-point seed jitter
   // (sibling points intentionally never share an RNG stream).
   const core::Fleet fleet(precision_axes());
