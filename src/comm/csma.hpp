@@ -21,8 +21,8 @@
 
 namespace iob::comm {
 
-/// Contention parameters are fixed (csma.cpp): 20 us mini-slots, windows of
-/// 8..256 mini-slots, 8 attempts per frame and a 4096-frame queue per node.
+/// The mini-slot, contention-window bounds, retry limit and queue bound are
+/// fixed; they are constants in csma.cpp.
 class CsmaBus {
  public:
   using DeliveryHandler = std::function<void(const Frame&, sim::Time)>;

@@ -19,9 +19,8 @@
 
 namespace iob::comm {
 
-/// Poll parameters are fixed (polling.cpp): 4-byte polls, 2-byte empty
-/// replies, 8 retransmissions per frame, a 4096-frame queue per node and
-/// idle listening at full RX power.
+/// The poll and empty-reply sizes, retry limit, queue bound and
+/// idle-listening power factor are fixed; they are constants in polling.cpp.
 class PollingMac {
  public:
   using DeliveryHandler = std::function<void(const Frame&, sim::Time)>;

@@ -26,9 +26,8 @@ namespace iob::comm {
 class ChannelDynamics;
 class GilbertElliott;
 
-/// The bus's fixed parameters live beside their reader in tdma.cpp: a 20 us
-/// inter-slot guard, an 8-byte beacon, 8 retransmissions per frame before a
-/// drop, a x1.25 auto-slot margin and a 0.25 health-EWMA smoothing factor.
+/// The inter-slot guard, beacon size, retry limit, auto-slot margin and
+/// health-EWMA factor are fixed; they are constants in tdma.cpp.
 struct TdmaConfig {
   /// Per-slot duration. Non-positive requests *auto-sizing*: the bus
   /// derives the slot from its link's rate at construction —

@@ -56,9 +56,9 @@ struct ChannelHealth {
   std::size_t queue_depth = 0;
 };
 
-/// Walks `default_degradation_ladder()` against fixed thresholds (loss
-/// 0.10, retry rate 0.50, queue depth 64, hysteresis x1.15, 0.5 s minimum
-/// dwell; degradation.cpp, docs/robustness.md).
+/// Walks `default_degradation_ladder()` against fixed health thresholds,
+/// hysteresis and minimum dwell (constants in degradation.cpp; the values
+/// are listed in docs/robustness.md).
 class DegradationController {
  public:
   DegradationController();
